@@ -390,10 +390,9 @@ func BenchmarkAblationGreedy(b *testing.B) {
 
 // --- replay engine microbenchmarks ---
 
-// BenchmarkInjectSection runs one section's full injection campaign under
-// the cursor/delta engine and the legacy per-experiment replay engine.
-// Outcomes are identical; the engines differ in clean-prefix work and
-// allocations (run with -benchmem).
+// BenchmarkInjectSection runs one section's full injection campaign with
+// and without the lockstep batch tier. Outcomes are identical; the tiers
+// differ in dispatch cost and allocations (run with -benchmem).
 func BenchmarkInjectSection(b *testing.B) {
 	p := bench.MustBuild("fft", bench.None)
 	tr, err := trace.Record(p)
@@ -402,13 +401,13 @@ func BenchmarkInjectSection(b *testing.B) {
 	}
 	inst := tr.Instances[len(tr.Instances)/2]
 	classes := sites.ForInstance(tr, inst, sites.Options{Prune: true})
-	for _, legacy := range []bool{false, true} {
-		name := "cursor"
-		if legacy {
-			name = "legacy"
+	for _, noBatch := range []bool{false, true} {
+		name := "batch"
+		if noBatch {
+			name = "scalar"
 		}
 		b.Run(name, func(b *testing.B) {
-			inj := &inject.Injector{T: tr, Legacy: legacy}
+			inj := &inject.Injector{T: tr, NoBatch: noBatch}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var stats inject.Stats

@@ -5,7 +5,7 @@
 //	sound        composed SDC bound covers the monolithic co-run truth
 //	incremental  re-analysis after an edit equals from-scratch analysis
 //	resume       killed+resumed campaign converges to the uninterrupted one
-//	engines      legacy and cursor replay engines agree per class
+//	engines      production and reference replay engines agree per class
 //	harden       protect-everything hardening preserves fault-free semantics
 //
 // Usage:

@@ -30,7 +30,6 @@ type ShardConfig struct {
 	Prune              bool    `json:"prune"`
 	BurstWidth         int     `json:"burst_width"`
 	CoRun              bool    `json:"co_run"`
-	LegacyReplay       bool    `json:"legacy_replay"`
 	Elide              bool    `json:"elide"`
 	NoBatch            bool    `json:"no_batch"`
 	StrictReuseKeys    bool    `json:"strict_reuse_keys"`
@@ -46,7 +45,6 @@ func shardConfig(cfg core.Config) ShardConfig {
 		Prune:              cfg.Prune,
 		BurstWidth:         cfg.BurstWidth,
 		CoRun:              cfg.CoRunBaseline,
-		LegacyReplay:       cfg.LegacyReplay,
 		Elide:              cfg.Elide,
 		NoBatch:            cfg.NoBatch,
 		StrictReuseKeys:    cfg.StrictReuseKeys,
@@ -65,7 +63,6 @@ func (sc ShardConfig) analysisConfig(workers int) core.Config {
 		Prune:              sc.Prune,
 		BurstWidth:         sc.BurstWidth,
 		CoRunBaseline:      sc.CoRun,
-		LegacyReplay:       sc.LegacyReplay,
 		Elide:              sc.Elide,
 		NoBatch:            sc.NoBatch,
 		StrictReuseKeys:    sc.StrictReuseKeys,

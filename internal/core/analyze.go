@@ -82,10 +82,6 @@ type Config struct {
 	// only). Denser checkpoints trade recording memory for shorter clean
 	// replays.
 	CheckpointInterval int64
-	// LegacyReplay selects the pre-cursor injection engine (full checkpoint
-	// restore + per-experiment clean replay). Outcomes are identical; this
-	// exists for equivalence testing and engine comparisons.
-	LegacyReplay bool
 	// Elide enables the static masking tier: a backward bit-liveness
 	// analysis over the linked program proves some operand bursts dead
 	// (never observed by any later instruction), and the campaign records
@@ -315,7 +311,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 		SiteCount:   sites.Count(t, siteOpts),
 		untestedBad: make(map[prog.StaticID]int),
 	}
-	inj := &inject.Injector{T: t, Workers: a.Cfg.Workers, Legacy: a.Cfg.LegacyReplay, NoBatch: a.Cfg.NoBatch, PanicHook: a.Cfg.ExperimentPanicHook}
+	inj := &inject.Injector{T: t, Workers: a.Cfg.Workers, NoBatch: a.Cfg.NoBatch, PanicHook: a.Cfg.ExperimentPanicHook}
 
 	var cam *campaign
 	if a.Cfg.WALDir != "" {
@@ -603,7 +599,7 @@ func (a *Analyzer) RunBaseline(r *Result) {
 // baseline results, and ctx.Err() is returned.
 func (a *Analyzer) RunBaselineContext(ctx context.Context, r *Result) error {
 	started := time.Now()
-	inj := &inject.Injector{T: r.Trace, Workers: a.Cfg.Workers, Legacy: a.Cfg.LegacyReplay, NoBatch: a.Cfg.NoBatch}
+	inj := &inject.Injector{T: r.Trace, Workers: a.Cfg.Workers, NoBatch: a.Cfg.NoBatch}
 	siteOpts := sites.Options{Prune: a.Cfg.Prune, Width: a.Cfg.BurstWidth}
 	if a.Cfg.Elide {
 		siteOpts.Masks = maskelide.Analyze(r.Trace.Prog.Linked)

@@ -250,7 +250,6 @@ func configFingerprint(cfg Config) uint64 {
 	acc = mix.Fold(acc, b(cfg.Prune))
 	acc = mix.Fold(acc, uint64(cfg.BurstWidth))
 	acc = mix.Fold(acc, b(cfg.CoRunBaseline))
-	acc = mix.Fold(acc, b(cfg.LegacyReplay))
 	acc = mix.Fold(acc, b(cfg.Elide))
 	acc = mix.Fold(acc, uint64(cfg.Sens.Samples))
 	acc = mix.Fold(acc, math.Float64bits(cfg.Sens.PhiMax))

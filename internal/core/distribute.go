@@ -46,7 +46,7 @@ type SectionJob struct {
 	// CoRun requests co-run end-to-end outcomes (§4.10).
 	CoRun bool
 	// Config is the full analysis configuration, for fingerprint
-	// validation and engine knobs (BurstWidth, Prune, LegacyReplay, ...).
+	// validation and engine knobs (BurstWidth, Prune, NoBatch, ...).
 	Config Config
 }
 

@@ -7,91 +7,6 @@ import (
 	"fastflip/internal/bench"
 )
 
-// TestCursorEngineMatchesLegacy runs fft-small through the legacy replay
-// engine (full checkpoint restore per experiment, section-boundary
-// checkpoints only — the pre-cursor engine exactly) and through the default
-// cursor/delta engine, and asserts the two are observationally identical:
-// the same per-class outcomes for both the FastFlip and baseline campaigns,
-// and the same SDC numbers and accounted costs in the Summary. Only the
-// engine-work split (clean/faulty instructions) and wall times may differ.
-func TestCursorEngineMatchesLegacy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full injection campaign")
-	}
-
-	run := func(legacy bool) (*Result, *Summary) {
-		cfg := DefaultConfig()
-		cfg.LegacyReplay = legacy
-		if legacy {
-			// The historical engine had no dense checkpoints.
-			cfg.CheckpointInterval = -1
-		}
-		a := NewAnalyzer(cfg)
-		p := bench.MustBuild("fft", bench.Small)
-		r, err := a.Analyze(p)
-		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		a.RunBaseline(r)
-		evals, err := a.Evaluate(r, cfg.Epsilon, false)
-		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		return r, r.Summarize(cfg.Epsilon, evals)
-	}
-
-	oldR, oldSum := run(true)
-	newR, newSum := run(false)
-
-	if len(oldR.ffClasses) != len(newR.ffClasses) {
-		t.Fatalf("ff class count: legacy %d, cursor %d", len(oldR.ffClasses), len(newR.ffClasses))
-	}
-	for i := range oldR.ffClasses {
-		o, n := oldR.ffClasses[i], newR.ffClasses[i]
-		if o.class.Key != n.class.Key || o.inst != n.inst {
-			t.Fatalf("ff class %d identity differs: %+v vs %+v", i, o.class.Key, n.class.Key)
-		}
-		if !reflect.DeepEqual(o.out, n.out) {
-			t.Errorf("ff class %d (%v inst %d): legacy outcome %+v, cursor outcome %+v",
-				i, o.class.Key, o.inst, o.out, n.out)
-		}
-	}
-	if len(oldR.baseClasses) != len(newR.baseClasses) {
-		t.Fatalf("baseline class count: legacy %d, cursor %d", len(oldR.baseClasses), len(newR.baseClasses))
-	}
-	for i := range oldR.baseClasses {
-		o, n := oldR.baseClasses[i], newR.baseClasses[i]
-		if !reflect.DeepEqual(o.out, n.out) {
-			t.Errorf("baseline class %d (%v): legacy outcome %+v, cursor outcome %+v",
-				i, o.class.Key, o.out, n.out)
-		}
-	}
-
-	// The accounted cost model is engine-independent; the work split and
-	// wall times are not. Neutralize the latter and the whole summaries
-	// must match, SDC numbers included.
-	for _, s := range []*Summary{oldSum, newSum} {
-		s.FFWall = 0
-		s.FFCleanInstrs, s.FFFaultyInstrs = 0, 0
-		s.BatchedExperiments, s.BatchReplicasAvg = 0, 0 // legacy has no batch tier
-		if s.Baseline != nil {
-			s.Baseline.Wall = 0
-			s.Baseline.CleanInstrs, s.Baseline.FaultyInstrs = 0, 0
-			s.Baseline.BatchedExperiments = 0
-		}
-	}
-	if !reflect.DeepEqual(oldSum, newSum) {
-		t.Errorf("summaries differ:\nlegacy: %+v\ncursor: %+v", oldSum, newSum)
-	}
-
-	// Sanity: the cursor engine must actually replay less clean prefix
-	// than it bills for (that is the point of the rebuild).
-	if newR.FFInject.CleanInstrs+newR.FFInject.FaultyInstrs >= newR.FFInject.SimInstrs {
-		t.Errorf("cursor engine work %d+%d not below accounted cost %d",
-			newR.FFInject.CleanInstrs, newR.FFInject.FaultyInstrs, newR.FFInject.SimInstrs)
-	}
-}
-
 // TestElisionMatchesExhaustive is the elision tiers' correctness claim on
 // a real benchmark: fft-small with static masking and lockstep batching
 // (the default) must be byte-identical — every per-class outcome and the

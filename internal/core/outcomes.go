@@ -20,7 +20,7 @@ type ClassOutcome struct {
 
 // ClassOutcomes returns every per-section class outcome in the analyzer's
 // deterministic order. Differential oracles compare these across runs
-// (incremental vs scratch, resumed vs uninterrupted, legacy vs cursor
+// (incremental vs scratch, resumed vs uninterrupted, reference vs cursor
 // replay); equality here means the analyses agree experiment by
 // experiment, not merely in aggregate.
 func (r *Result) ClassOutcomes() []ClassOutcome {

@@ -8,8 +8,8 @@
 // kernel) whose ground truth the oracles can afford to compute; the four
 // oracles in oracle.go then assert the paper's equivalence claims on it:
 // composed-bound soundness against the co-run ground truth, incremental
-// re-analysis vs from-scratch, crash/resume convergence, and legacy vs
-// cursor replay engine agreement. Failures shrink (shrink.go) to a minimal
+// re-analysis vs from-scratch, crash/resume convergence, and agreement of
+// the production replay engine with the reference engine (reference.go). Failures shrink (shrink.go) to a minimal
 // reproducer written to a corpus directory (corpus.go).
 //
 // Soundness needs care: the sensitivity stage estimates an *empirical*

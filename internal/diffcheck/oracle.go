@@ -30,8 +30,9 @@ const (
 	// InvResume: a campaign killed mid-WAL and resumed converges to the
 	// uninterrupted summary.
 	InvResume Invariant = "resume"
-	// InvEngines: the legacy and clean-cursor replay engines agree on
-	// every per-class outcome.
+	// InvEngines: the production replay engine, in every tier
+	// configuration, agrees with the reference engine on every per-class
+	// outcome.
 	InvEngines Invariant = "engines"
 	// InvHarden: the hardening transform is semantics-preserving — with
 	// every eligible instruction protected, the hardened program's
@@ -349,9 +350,11 @@ func CheckResume(g *Prog, walDir string) *Violation {
 
 // engineConfigs is the replay-engine matrix the engines invariant sweeps:
 // the default batched cursor engine with static-masking elision, the same
-// engine with each tier disabled, and the legacy full-restore engine. All
-// four must agree experiment by experiment. Exhaustive disables elision,
-// so its accounted costs legitimately differ (see neutralizeElision).
+// engine with each tier disabled, and the per-experiment checkpoint-replay
+// Reference engine over section-boundary checkpoints only. All four must
+// agree experiment by experiment. The exhaustive configurations simulate
+// every experiment, so their accounted costs legitimately differ (see
+// neutralizeElision).
 var engineConfigs = []struct {
 	name       string
 	exhaustive bool
@@ -360,17 +363,18 @@ var engineConfigs = []struct {
 	{name: "cursor-batch", mut: func(*core.Config) {}},
 	{name: "cursor-scalar", mut: func(c *core.Config) { c.NoBatch = true }},
 	{name: "cursor-exhaustive", exhaustive: true, mut: func(c *core.Config) { c.Elide = false; c.NoBatch = true }},
-	{name: "legacy", mut: func(c *core.Config) {
-		c.LegacyReplay = true
+	{name: "reference", exhaustive: true, mut: func(c *core.Config) {
+		c.Elide = false
 		c.CheckpointInterval = -1
+		c.SectionInjector = Reference{}
 	}},
 }
 
 // CheckEngines verifies invariant 4 over the full engine matrix: the
-// legacy full-restore engine, the clean-cursor engine with and without
-// lockstep batching, and the exhaustive configuration with the static
-// masking tier disabled all agree on every per-class outcome, on the
-// work-neutralized summary, and on the rendered end-to-end specification.
+// reference engine, the clean-cursor engine with and without lockstep
+// batching, and the exhaustive configuration with the static masking tier
+// disabled all agree on every per-class outcome, on the work-neutralized
+// summary, and on the rendered end-to-end specification.
 // Exhaustive agreement is the elision tier's correctness claim: every
 // experiment the masking proof skipped really is Masked when simulated.
 func CheckEngines(g *Prog) *Violation {

@@ -258,19 +258,14 @@ func liveness(fn *prog.Function) []regset {
 				out = allRegs
 			case isa.JMP:
 				out = liveIn[in.Imm]
-			case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE,
-				isa.FBEQ, isa.FBNE, isa.FBLT, isa.FBLE:
-				out = liveIn[in.Imm]
-				if pc+1 < n {
-					out = out.union(liveIn[pc+1])
-				} else {
-					out = allRegs
-				}
 			default:
 				if pc+1 < n {
 					out = liveIn[pc+1]
 				} else {
 					out = allRegs
+				}
+				if in.Op.IsBranch() {
+					out = out.union(liveIn[in.Imm])
 				}
 			}
 			ni := transfer(in, out)

@@ -17,9 +17,10 @@
 // worker, and forks each experiment off the cursor with a journal-based
 // delta restore — so a shared clean prefix is simulated once per worker
 // range instead of once per experiment, and restoring a fork undoes only
-// the memory words the faulty run touched. Outcomes are bit-identical to
-// the legacy checkpoint-replay engine (Injector.Legacy), which is kept for
-// equivalence testing.
+// the memory words the faulty run touched. The per-site methods Monolithic,
+// Section and SectionCoRun instead replay each experiment from its nearest
+// checkpoint; the differential oracles build their reference engine on
+// them.
 package inject
 
 import (
@@ -29,7 +30,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"fastflip/internal/isa"
 	"fastflip/internal/metrics"
@@ -92,11 +92,6 @@ type Injector struct {
 	// Workers is the number of parallel experiment goroutines;
 	// 0 means GOMAXPROCS.
 	Workers int
-	// Legacy selects the pre-cursor replay engine: every experiment
-	// restores a full checkpoint copy and replays the clean prefix itself.
-	// Outcomes are identical; only the engine cost differs. Kept for
-	// equivalence tests and engine benchmarks.
-	Legacy bool
 	// NoBatch disables the lockstep batch tier: dense same-dyn experiment
 	// groups then run one scalar fork each instead of sharing a vm.Batch.
 	// Outcomes and accounted costs are identical either way; this is the
@@ -120,8 +115,9 @@ func (inj *Injector) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prepare replays m to just before dynamic instruction dyn and applies the
-// flip dictated by the site (the legacy per-experiment path).
+// prepare restores m from the checkpoint nearest the site, replays it to
+// just before dynamic instruction site.Dyn and applies the site's flip: the
+// per-site path of Monolithic, Section and SectionCoRun.
 func (inj *Injector) prepare(m *vm.Machine, site sites.Site, maxDyn uint64) error {
 	seed, _ := inj.T.ReplaySeed(site.Dyn)
 	m.RestoreFrom(seed)
@@ -548,16 +544,6 @@ func ConservativeSDC(outputs int) metrics.Outcome {
 	return conservativeSDC(outputs)
 }
 
-// siteOf builds the pilot injection site of a class.
-func siteOf(c *sites.Class) sites.Site {
-	return sites.Site{
-		Dyn:     c.Pilot(),
-		Operand: isa.Operand{Role: c.Key.Role, Class: c.Class, Reg: c.Reg},
-		Bit:     c.Key.Bit,
-		Width:   c.Width,
-	}
-}
-
 // batchFlip injects site's burst into replica k of a batch, the replica
 // counterpart of applyFlip's bit loop.
 func batchFlip(b *vm.Batch, k int, site sites.Site) {
@@ -613,14 +599,10 @@ func (inj *Injector) elidePass(classes []*sites.Class, order []int, exp *experim
 // within one in-flight experiment per worker. Stats count only the
 // experiments actually run.
 //
-// The default engine sorts the pilots by dynamic index, hands each worker
-// one contiguous dyn range, and replays the clean execution once per range
-// behind a rolling cursor; Legacy replays checkpoint-to-site per
-// experiment. Both engines produce identical outcomes.
+// The engine sorts the pilots by dynamic index, hands each worker one
+// contiguous dyn range, and replays the clean execution once per range
+// behind a rolling cursor.
 func (inj *Injector) runAll(ctx context.Context, classes []*sites.Class, exp experiment) ([]metrics.Outcome, Stats) {
-	if inj.Legacy {
-		return inj.runAllLegacy(ctx, classes, exp)
-	}
 	outcomes := make([]metrics.Outcome, len(classes))
 	if len(classes) == 0 {
 		return outcomes, Stats{}
@@ -685,7 +667,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 	// runScalar runs one experiment on a scalar fork of the cursor,
 	// including supervision, retry, and record delivery.
 	runScalar := func(i int) {
-		site := siteOf(classes[i])
+		site := classes[i].PilotSite()
 
 		// Per-experiment cost share; the cursor advance is attributed to the
 		// experiment that triggered it so shares sum to the campaign Stats.
@@ -813,11 +795,11 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 			// instruction once — clean for those replicas, already faulty
 			// for source-flipped ones — and the destination flips land
 			// after it, the same order applyFlip imposes.
-			em.MaxDyn = exp.limit(siteOf(classes[group[0]]))
+			em.MaxDyn = exp.limit(classes[group[0]].PilotSite())
 			b := vm.NewBatch(em, len(group))
 			hasDst := false
 			for j, i := range group {
-				site := siteOf(classes[i])
+				site := classes[i].PilotSite()
 				if site.Operand.Role == isa.OperandDst {
 					hasDst = true
 					continue
@@ -829,7 +811,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 					panic(fmt.Errorf("inject: batch at dyn %d stopped before the site instruction", pilotDyn))
 				}
 				for j, i := range group {
-					site := siteOf(classes[i])
+					site := classes[i].PilotSite()
 					if site.Operand.Role == isa.OperandDst {
 						batchFlip(b, j, site)
 					}
@@ -842,7 +824,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 				if ctx.Err() != nil {
 					break
 				}
-				site := siteOf(classes[i])
+				site := classes[i].PilotSite()
 				em.MaxDyn = exp.limit(site)
 				em.BeginJournal()
 				b.MaterializeInto(j, em)
@@ -913,92 +895,4 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 		}
 	}
 	return stats
-}
-
-// runAllLegacy is the pre-cursor engine: every experiment restores a full
-// checkpoint copy and replays its own clean prefix.
-func (inj *Injector) runAllLegacy(ctx context.Context, classes []*sites.Class, exp experiment) ([]metrics.Outcome, Stats) {
-	t := inj.T
-	outcomes := make([]metrics.Outcome, len(classes))
-	order := exp.hooks.scheduled(classes)
-	order, stats := inj.elidePass(classes, order, &exp, outcomes)
-	var next atomic.Uint64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	nw := inj.workers()
-	if nw > len(order) {
-		nw = len(order)
-	}
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := t.Start.Clone()
-			var local Stats
-			for {
-				if ctx.Err() != nil {
-					break
-				}
-				pos := next.Add(1) - 1
-				if pos >= uint64(len(order)) {
-					break
-				}
-				i := uint64(order[pos])
-				site := siteOf(classes[i])
-				_, replayDyn := t.ReplaySeed(site.Dyn)
-
-				// Same supervision contract as runRange: one retry on a
-				// fresh machine, then quarantine. prepare restores the
-				// checkpoint itself, so the rebuild only matters when the
-				// panic corrupted the machine's buffers.
-				var expStats Stats
-				poisoned := false
-				for attempt := 1; ; attempt++ {
-					st, rec := runSupervised(func() *vm.Machine { return m }, func() Stats {
-						if inj.PanicHook != nil {
-							inj.PanicHook(int(i), attempt)
-						}
-						if err := inj.prepare(m, site, exp.limit(site)); err != nil {
-							panic(err)
-						}
-						flipDyn := m.Dyn
-						outcomes[i] = exp.finish(m, int(i), site)
-						return Stats{
-							Experiments:  1,
-							SimInstrs:    m.Dyn - t.NearestCheckpointDyn(site.Dyn),
-							CleanInstrs:  flipDyn - replayDyn,
-							FaultyInstrs: m.Dyn - flipDyn,
-						}
-					})
-					if rec == nil {
-						expStats = st
-						break
-					}
-					m = t.Start.Clone()
-					if attempt == 1 {
-						inj.notePanicRetry()
-						continue
-					}
-					p := Poison{Class: int(i), Key: classes[i].Key, Attempts: attempt, MachineFP: rec.fp, Stack: rec.stack}
-					inj.notePoison(p)
-					outcomes[i] = exp.conservative(int(i))
-					expStats = Stats{Experiments: 1}
-					if exp.hooks.Poison != nil {
-						exp.hooks.Poison(p)
-					}
-					poisoned = true
-					break
-				}
-				local.Add(expStats)
-				if !poisoned && exp.hooks.Record != nil {
-					exp.hooks.Record(int(i), outcomes[i], nil, expStats)
-				}
-			}
-			mu.Lock()
-			stats.Add(local)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return outcomes, stats
 }

@@ -67,8 +67,8 @@ func overflowProg(iters int64) *spec.Program {
 // engine must full-restore the experiment machine from the clean cursor —
 // not leave it carrying faulty memory into the rest of the worker's range.
 // The cursor engine's outcomes over the whole campaign must therefore be
-// bit-identical to the legacy engine, which rebuilds every experiment from
-// a checkpoint copy and cannot be poisoned by construction.
+// bit-identical to per-site Section experiments, which rebuild every
+// experiment from a checkpoint and cannot be poisoned by construction.
 func TestJournalOverflowMidRangeDoesNotPoisonCursor(t *testing.T) {
 	p := overflowProg(64)
 	tr, err := trace.Record(p)
@@ -86,7 +86,7 @@ func TestJournalOverflowMidRangeDoesNotPoisonCursor(t *testing.T) {
 	// flip and run under a journal) to prove the fixture forces it.
 	overflowAt := -1
 	for i, c := range classes {
-		site := siteOf(c)
+		site := c.PilotSite()
 		seed, _ := tr.ReplaySeed(site.Dyn)
 		m := seed.Clone()
 		m.MaxDyn = sectionLimit(inst)
@@ -119,18 +119,17 @@ func TestJournalOverflowMidRangeDoesNotPoisonCursor(t *testing.T) {
 
 	inj := &Injector{T: tr, Workers: 1}
 	got, gotStats := inj.RunSection(context.Background(), inst, classes)
-	legacy := &Injector{T: tr, Workers: 1, Legacy: true}
-	want, wantStats := legacy.RunSection(context.Background(), inst, classes)
-
-	if !reflect.DeepEqual(got, want) {
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("class %d: cursor engine %+v, legacy %+v", i, got[i], want[i])
-			}
+	var wantSim uint64
+	m := tr.Start.Clone()
+	for i, c := range classes {
+		want, cost := inj.Section(m, inst, c.PilotSite())
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("class %d: cursor engine %+v, per-site replay %+v", i, got[i], want)
 		}
+		wantSim += cost
 	}
-	if gotStats.Experiments != wantStats.Experiments || gotStats.SimInstrs != wantStats.SimInstrs {
-		t.Errorf("accounted cost diverged: cursor {exp %d, sim %d}, legacy {exp %d, sim %d}",
-			gotStats.Experiments, gotStats.SimInstrs, wantStats.Experiments, wantStats.SimInstrs)
+	if gotStats.Experiments != len(classes) || gotStats.SimInstrs != wantSim {
+		t.Errorf("accounted cost diverged: cursor {exp %d, sim %d}, per-site replay {exp %d, sim %d}",
+			gotStats.Experiments, gotStats.SimInstrs, len(classes), wantSim)
 	}
 }

@@ -56,7 +56,7 @@ type Operand struct {
 // none; a store has two source operands (value and base address) and no
 // destination.
 func (in Instr) Operands(dst []Operand) []Operand {
-	info := Info(in.Op)
+	info := row(in.Op)
 	if info.SrcA != RegNone {
 		dst = append(dst, Operand{Role: OperandSrcA, Class: info.SrcA, Reg: in.Ra})
 	}
@@ -73,7 +73,7 @@ func (in Instr) Operands(dst []Operand) []Operand {
 // "fadd f1, f2, f3" or "ld r4, r2, 16". Branch targets print as raw
 // immediates; the disassembler in internal/asm prints symbolic labels.
 func (in Instr) String() string {
-	info := Info(in.Op)
+	info := row(in.Op)
 	var b strings.Builder
 	b.WriteString(info.Name)
 	sep := " "

@@ -5,12 +5,16 @@
 // The ISA plays the role that x86-64 plays for gem5-Approxilyzer in the
 // FastFlip paper: it is the level of abstraction at which single-event-upset
 // bitflips are injected. Every instruction names at most one destination
-// register and two source registers; the per-opcode metadata in Info reports
-// which operands exist and in which register file they live, which is what
-// the error-site enumerator uses to find injectable bits.
+// register and two source registers; the per-opcode table row (Info, Sem)
+// reports which operands exist and in which register file they live, which
+// is what the error-site enumerator uses to find injectable bits, and
+// states what the opcode computes, which is what both simulators execute.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NumRegs is the number of registers in each register file (integer and
 // float). Register operands are always in [0, NumRegs).
@@ -158,91 +162,199 @@ const (
 	ImmOffset         // memory word offset
 )
 
-// OpInfo is static metadata about an opcode, used by the printer, the
-// assembler, the interpreter's operand decoding, and — most importantly —
-// the error-site enumerator, which derives injectable register operands
-// from Dst/SrcA/SrcB.
+// OpInfo is an opcode's row in the ISA table: its operand shape, used by
+// the printer, the assembler and the error-site enumerator (which derives
+// injectable register operands from Dst/SrcA/SrcB), and its semantics,
+// which both interpreters in internal/vm execute and internal/maskelide
+// reasons about. Every defined opcode has exactly one of Kernel, Cond, or
+// Mem; the rest — NOP, HALT, TRAP, JMP, CALL, RET and the analysis
+// markers — are control ops the interpreters implement themselves.
 type OpInfo struct {
 	Name string
 	Dst  RegClass // class of the Rd field, RegNone if unused
 	SrcA RegClass // class of the Ra field
 	SrcB RegClass // class of the Rb field
 	Imm  ImmKind
+
+	// Kernel computes Rd from the raw bits of Ra and Rb and the
+	// immediate; a source the op does not have is passed a value the
+	// kernel ignores. Float operands and results are float64 bit
+	// patterns.
+	Kernel func(a, b uint64, imm int64) uint64
+	// DivZero marks a kernel that must not run when Rb is zero: the
+	// instruction crashes with a division error instead.
+	DivZero bool
+	// Cond is a conditional branch's decision on the raw bits of Ra and
+	// Rb: true transfers control to Imm, false falls through.
+	Cond func(a, b uint64) bool
+	// Mem marks a memory op. The address comes from the operand shape: a
+	// load (Dst set) reads Mem[Ra+Imm] into Rd, a store writes Ra to
+	// Mem[Rb+Imm]; an op without the base operand (SrcA for a load, SrcB
+	// for a store) addresses Mem[Imm] absolutely.
+	Mem bool
 }
 
-var infos = [numOps]OpInfo{
+// IsBranch reports whether op is a conditional branch: two successors,
+// Imm and the next instruction.
+func (op Op) IsBranch() bool { return infos[op].Cond != nil }
+
+// Sem returns op's table row by reference, for hot paths such as the
+// interpreters' dispatch. Unlike Info it does not panic: an undefined
+// opcode yields the zero row (no Name, no semantics).
+func Sem(op Op) *OpInfo { return &infos[op] }
+
+func fl(x uint64) float64   { return math.Float64frombits(x) }
+func bits(v float64) uint64 { return math.Float64bits(v) }
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// ftoi converts like x86 CVTTSD2SI: truncate toward zero; NaN and values
+// outside the int64 range produce the "integer indefinite" value minInt64.
+func ftoi(v float64) uint64 {
+	if math.IsNaN(v) || v >= math.MaxInt64 || v < math.MinInt64 {
+		return 1 << 63
+	}
+	return uint64(int64(v))
+}
+
+// infos spans every uint8 so an interpreter can index it with any
+// fetched opcode; undefined opcodes have the zero row.
+var infos = [256]OpInfo{
 	NOP:  {Name: "nop"},
 	HALT: {Name: "halt"},
 
-	ADD:  {Name: "add", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	SUB:  {Name: "sub", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	MUL:  {Name: "mul", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	DIV:  {Name: "div", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	REM:  {Name: "rem", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	AND:  {Name: "and", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	OR:   {Name: "or", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	XOR:  {Name: "xor", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	SHL:  {Name: "shl", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	SHR:  {Name: "shr", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	SRA:  {Name: "sra", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	SLT:  {Name: "slt", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	SLTU: {Name: "sltu", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
+	ADD: {Name: "add", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return a + b }},
+	SUB: {Name: "sub", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return a - b }},
+	MUL: {Name: "mul", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return a * b }},
+	DIV: {Name: "div", Dst: RegInt, SrcA: RegInt, SrcB: RegInt, DivZero: true,
+		Kernel: func(a, b uint64, _ int64) uint64 { return uint64(int64(a) / int64(b)) }},
+	REM: {Name: "rem", Dst: RegInt, SrcA: RegInt, SrcB: RegInt, DivZero: true,
+		Kernel: func(a, b uint64, _ int64) uint64 { return uint64(int64(a) % int64(b)) }},
+	AND: {Name: "and", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return a & b }},
+	OR: {Name: "or", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return a | b }},
+	XOR: {Name: "xor", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return a ^ b }},
+	SHL: {Name: "shl", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return a << (b & 63) }},
+	SHR: {Name: "shr", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return a >> (b & 63) }},
+	SRA: {Name: "sra", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return uint64(int64(a) >> (b & 63)) }},
+	SLT: {Name: "slt", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return b2u(int64(a) < int64(b)) }},
+	SLTU: {Name: "sltu", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return b2u(a < b) }},
 
-	ADDI: {Name: "addi", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
-	MULI: {Name: "muli", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
-	ANDI: {Name: "andi", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
-	ORI:  {Name: "ori", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
-	XORI: {Name: "xori", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
-	SHLI: {Name: "shli", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
-	SHRI: {Name: "shri", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
-	SRAI: {Name: "srai", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
+	ADDI: {Name: "addi", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 { return a + uint64(imm) }},
+	MULI: {Name: "muli", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 { return a * uint64(imm) }},
+	ANDI: {Name: "andi", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 { return a & uint64(imm) }},
+	ORI: {Name: "ori", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 { return a | uint64(imm) }},
+	XORI: {Name: "xori", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 { return a ^ uint64(imm) }},
+	SHLI: {Name: "shli", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 { return a << (uint64(imm) & 63) }},
+	SHRI: {Name: "shri", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 { return a >> (uint64(imm) & 63) }},
+	SRAI: {Name: "srai", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 { return uint64(int64(a) >> (uint64(imm) & 63)) }},
 
-	MOV: {Name: "mov", Dst: RegInt, SrcA: RegInt},
-	NOT: {Name: "not", Dst: RegInt, SrcA: RegInt},
-	NEG: {Name: "neg", Dst: RegInt, SrcA: RegInt},
-	LI:  {Name: "li", Dst: RegInt, Imm: ImmInt},
+	MOV: {Name: "mov", Dst: RegInt, SrcA: RegInt,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return a }},
+	NOT: {Name: "not", Dst: RegInt, SrcA: RegInt,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return ^a }},
+	NEG: {Name: "neg", Dst: RegInt, SrcA: RegInt,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return -a }},
+	LI: {Name: "li", Dst: RegInt, Imm: ImmInt,
+		Kernel: func(_, _ uint64, imm int64) uint64 { return uint64(imm) }},
 
-	ADD32:  {Name: "add32", Dst: RegInt, SrcA: RegInt, SrcB: RegInt},
-	ROTR32: {Name: "rotr32", Dst: RegInt, SrcA: RegInt, Imm: ImmInt},
-	NOT32:  {Name: "not32", Dst: RegInt, SrcA: RegInt},
+	ADD32: {Name: "add32", Dst: RegInt, SrcA: RegInt, SrcB: RegInt,
+		Kernel: func(a, b uint64, _ int64) uint64 { return (a + b) & 0xffffffff }},
+	ROTR32: {Name: "rotr32", Dst: RegInt, SrcA: RegInt, Imm: ImmInt,
+		Kernel: func(a, _ uint64, imm int64) uint64 {
+			x, s := uint32(a), uint(imm)&31
+			return uint64(x>>s | x<<(32-s))
+		}},
+	NOT32: {Name: "not32", Dst: RegInt, SrcA: RegInt,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return ^a & 0xffffffff }},
 
-	FADD: {Name: "fadd", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat},
-	FSUB: {Name: "fsub", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat},
-	FMUL: {Name: "fmul", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat},
-	FDIV: {Name: "fdiv", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat},
-	FMIN: {Name: "fmin", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat},
-	FMAX: {Name: "fmax", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat},
+	FADD: {Name: "fadd", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat,
+		Kernel: func(a, b uint64, _ int64) uint64 { return bits(fl(a) + fl(b)) }},
+	FSUB: {Name: "fsub", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat,
+		Kernel: func(a, b uint64, _ int64) uint64 { return bits(fl(a) - fl(b)) }},
+	FMUL: {Name: "fmul", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat,
+		Kernel: func(a, b uint64, _ int64) uint64 { return bits(fl(a) * fl(b)) }},
+	FDIV: {Name: "fdiv", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat,
+		Kernel: func(a, b uint64, _ int64) uint64 { return bits(fl(a) / fl(b)) }},
+	FMIN: {Name: "fmin", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat,
+		Kernel: func(a, b uint64, _ int64) uint64 { return bits(math.Min(fl(a), fl(b))) }},
+	FMAX: {Name: "fmax", Dst: RegFloat, SrcA: RegFloat, SrcB: RegFloat,
+		Kernel: func(a, b uint64, _ int64) uint64 { return bits(math.Max(fl(a), fl(b))) }},
 
-	FSQRT: {Name: "fsqrt", Dst: RegFloat, SrcA: RegFloat},
-	FNEG:  {Name: "fneg", Dst: RegFloat, SrcA: RegFloat},
-	FABS:  {Name: "fabs", Dst: RegFloat, SrcA: RegFloat},
-	FEXP:  {Name: "fexp", Dst: RegFloat, SrcA: RegFloat},
-	FLN:   {Name: "fln", Dst: RegFloat, SrcA: RegFloat},
-	FMOV:  {Name: "fmov", Dst: RegFloat, SrcA: RegFloat},
+	FSQRT: {Name: "fsqrt", Dst: RegFloat, SrcA: RegFloat,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return bits(math.Sqrt(fl(a))) }},
+	FNEG: {Name: "fneg", Dst: RegFloat, SrcA: RegFloat,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return bits(-fl(a)) }},
+	FABS: {Name: "fabs", Dst: RegFloat, SrcA: RegFloat,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return bits(math.Abs(fl(a))) }},
+	FEXP: {Name: "fexp", Dst: RegFloat, SrcA: RegFloat,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return bits(math.Exp(fl(a))) }},
+	FLN: {Name: "fln", Dst: RegFloat, SrcA: RegFloat,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return bits(math.Log(fl(a))) }},
+	FMOV: {Name: "fmov", Dst: RegFloat, SrcA: RegFloat,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return a }},
 
-	FLI: {Name: "fli", Dst: RegFloat, Imm: ImmFloat},
+	FLI: {Name: "fli", Dst: RegFloat, Imm: ImmFloat,
+		Kernel: func(_, _ uint64, imm int64) uint64 { return uint64(imm) }},
 
-	ITOF:  {Name: "itof", Dst: RegFloat, SrcA: RegInt},
-	FTOI:  {Name: "ftoi", Dst: RegInt, SrcA: RegFloat},
-	FBITS: {Name: "fbits", Dst: RegInt, SrcA: RegFloat},
-	BITSF: {Name: "bitsf", Dst: RegFloat, SrcA: RegInt},
+	ITOF: {Name: "itof", Dst: RegFloat, SrcA: RegInt,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return bits(float64(int64(a))) }},
+	FTOI: {Name: "ftoi", Dst: RegInt, SrcA: RegFloat,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return ftoi(fl(a)) }},
+	FBITS: {Name: "fbits", Dst: RegInt, SrcA: RegFloat,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return a }},
+	BITSF: {Name: "bitsf", Dst: RegFloat, SrcA: RegInt,
+		Kernel: func(a, _ uint64, _ int64) uint64 { return a }},
 
-	LD:  {Name: "ld", Dst: RegInt, SrcA: RegInt, Imm: ImmOffset},
-	ST:  {Name: "st", SrcA: RegInt, SrcB: RegInt, Imm: ImmOffset},
-	FLD: {Name: "fld", Dst: RegFloat, SrcA: RegInt, Imm: ImmOffset},
-	FST: {Name: "fst", SrcA: RegFloat, SrcB: RegInt, Imm: ImmOffset},
+	LD:  {Name: "ld", Dst: RegInt, SrcA: RegInt, Imm: ImmOffset, Mem: true},
+	ST:  {Name: "st", SrcA: RegInt, SrcB: RegInt, Imm: ImmOffset, Mem: true},
+	FLD: {Name: "fld", Dst: RegFloat, SrcA: RegInt, Imm: ImmOffset, Mem: true},
+	FST: {Name: "fst", SrcA: RegFloat, SrcB: RegInt, Imm: ImmOffset, Mem: true},
 
-	JMP:  {Name: "jmp", Imm: ImmTarget},
-	BEQ:  {Name: "beq", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget},
-	BNE:  {Name: "bne", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget},
-	BLT:  {Name: "blt", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget},
-	BLE:  {Name: "ble", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget},
-	BGT:  {Name: "bgt", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget},
-	BGE:  {Name: "bge", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget},
-	FBEQ: {Name: "fbeq", SrcA: RegFloat, SrcB: RegFloat, Imm: ImmTarget},
-	FBNE: {Name: "fbne", SrcA: RegFloat, SrcB: RegFloat, Imm: ImmTarget},
-	FBLT: {Name: "fblt", SrcA: RegFloat, SrcB: RegFloat, Imm: ImmTarget},
-	FBLE: {Name: "fble", SrcA: RegFloat, SrcB: RegFloat, Imm: ImmTarget},
+	JMP: {Name: "jmp", Imm: ImmTarget},
+	BEQ: {Name: "beq", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return a == b }},
+	BNE: {Name: "bne", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return a != b }},
+	BLT: {Name: "blt", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return int64(a) < int64(b) }},
+	BLE: {Name: "ble", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return int64(a) <= int64(b) }},
+	BGT: {Name: "bgt", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return int64(a) > int64(b) }},
+	BGE: {Name: "bge", SrcA: RegInt, SrcB: RegInt, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return int64(a) >= int64(b) }},
+	FBEQ: {Name: "fbeq", SrcA: RegFloat, SrcB: RegFloat, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return fl(a) == fl(b) }},
+	FBNE: {Name: "fbne", SrcA: RegFloat, SrcB: RegFloat, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return fl(a) != fl(b) }},
+	FBLT: {Name: "fblt", SrcA: RegFloat, SrcB: RegFloat, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return fl(a) < fl(b) }},
+	FBLE: {Name: "fble", SrcA: RegFloat, SrcB: RegFloat, Imm: ImmTarget,
+		Cond: func(a, b uint64) bool { return fl(a) <= fl(b) }},
 	CALL: {Name: "call", Imm: ImmCallee},
 	RET:  {Name: "ret"},
 
@@ -252,26 +364,27 @@ var infos = [numOps]OpInfo{
 	ROIEND: {Name: "roiend"},
 
 	TRAP: {Name: "trap"},
-	LDA:  {Name: "lda", Dst: RegInt, Imm: ImmOffset},
-	STA:  {Name: "sta", SrcA: RegInt, Imm: ImmOffset},
-	FLDA: {Name: "flda", Dst: RegFloat, Imm: ImmOffset},
-	FSTA: {Name: "fsta", SrcA: RegFloat, Imm: ImmOffset},
+	LDA:  {Name: "lda", Dst: RegInt, Imm: ImmOffset, Mem: true},
+	STA:  {Name: "sta", SrcA: RegInt, Imm: ImmOffset, Mem: true},
+	FLDA: {Name: "flda", Dst: RegFloat, Imm: ImmOffset, Mem: true},
+	FSTA: {Name: "fsta", SrcA: RegFloat, Imm: ImmOffset, Mem: true},
 }
 
 // Info returns the static metadata for op. It panics on an undefined opcode,
 // which indicates a corrupted instruction stream rather than a recoverable
 // condition.
-func Info(op Op) OpInfo {
-	if int(op) >= NumOps || infos[op].Name == "" {
+func Info(op Op) OpInfo { return *row(op) }
+
+// row is Info by reference, for callers on hot paths.
+func row(op Op) *OpInfo {
+	if !Valid(op) {
 		panic(fmt.Sprintf("isa: undefined opcode %d", op))
 	}
-	return infos[op]
+	return &infos[op]
 }
 
 // Valid reports whether op is a defined opcode.
-func Valid(op Op) bool {
-	return int(op) < NumOps && infos[op].Name != ""
-}
+func Valid(op Op) bool { return infos[op].Name != "" }
 
 func (op Op) String() string {
 	if !Valid(op) {

@@ -2,6 +2,18 @@ package isa
 
 import "testing"
 
+// control lists the opcodes without table semantics: the interpreters
+// implement each one with an explicit arm.
+var control = map[Op]bool{
+	NOP: true, HALT: true, TRAP: true, JMP: true, CALL: true, RET: true,
+	SECBEG: true, SECEND: true, ROIBEG: true, ROIEND: true,
+}
+
+// TestInfoCoversAllOpcodes is the opcode drift test: every defined opcode
+// has a row, and the row states its semantics as exactly one of a kernel,
+// a branch condition, a memory form, or membership in the control set
+// both interpreters implement by hand. A new opcode without semantics, or
+// with two, fails here before an interpreter can skip it silently.
 func TestInfoCoversAllOpcodes(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
 		if !Valid(op) {
@@ -9,8 +21,40 @@ func TestInfoCoversAllOpcodes(t *testing.T) {
 			continue
 		}
 		info := Info(op)
-		if info.Name == "" {
-			t.Errorf("opcode %d has empty name", op)
+		forms := 0
+		for _, has := range []bool{info.Kernel != nil, info.Cond != nil, info.Mem, control[op]} {
+			if has {
+				forms++
+			}
+		}
+		if forms != 1 {
+			t.Errorf("%v: %d semantic forms (kernel %v, branch %v, mem %v, control %v), want exactly 1",
+				op, forms, info.Kernel != nil, info.Cond != nil, info.Mem, control[op])
+		}
+		switch {
+		case info.Kernel != nil && info.Dst == RegNone:
+			t.Errorf("%v: kernel without a destination", op)
+		case info.DivZero && info.Kernel == nil:
+			t.Errorf("%v: DivZero without a kernel", op)
+		case info.Cond != nil && (info.SrcA == RegNone || info.SrcB != info.SrcA || info.Dst != RegNone || info.Imm != ImmTarget):
+			t.Errorf("%v: branch row is not Ra, Rb of one register file -> Imm", op)
+		case info.Mem && info.Imm != ImmOffset:
+			t.Errorf("%v: memory row without an offset immediate", op)
+		case info.Mem && info.Dst == RegNone && info.SrcA == RegNone:
+			t.Errorf("%v: store without a value operand", op)
+		}
+		if base := info.SrcB; info.Mem {
+			if info.Dst != RegNone {
+				base = info.SrcA
+			}
+			if base != RegNone && base != RegInt {
+				t.Errorf("%v: base address operand has class %v, want integer", op, base)
+			}
+		}
+	}
+	for op := numOps; op != 0; op++ { // up to 255, where Op wraps to 0
+		if s := Sem(op); s.Name != "" || s.Kernel != nil || s.Cond != nil || s.Mem {
+			t.Errorf("undefined opcode %d has a non-zero row", op)
 		}
 	}
 }

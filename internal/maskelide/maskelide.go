@@ -177,15 +177,12 @@ func successors(l *prog.Linked) (succs [][]int32, retOpen []bool) {
 			} else {
 				succs[pc] = retTo[fi]
 			}
-		case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE,
-			isa.FBEQ, isa.FBNE, isa.FBLT, isa.FBLE:
-			succs[pc] = []int32{int32(in.Imm)}
+		default:
+			if in.Op.IsBranch() {
+				succs[pc] = []int32{int32(in.Imm)}
+			}
 			if pc+1 < n {
 				succs[pc] = append(succs[pc], int32(pc+1))
-			}
-		default:
-			if pc+1 < n {
-				succs[pc] = []int32{int32(pc + 1)}
 			}
 		}
 	}
@@ -214,7 +211,7 @@ func upTo(m uint64) uint64 {
 // kill) for one instruction.
 func transfer(in isa.Instr, out *regState) regState {
 	st := *out
-	info := isa.Info(in.Op)
+	info := isa.Sem(in.Op)
 
 	// The destination write defines all 64 bits: kill before use so an
 	// instruction reading and writing the same register keeps its uses.
@@ -316,37 +313,22 @@ func useMasks(in isa.Instr, ld uint64) (ua, ub uint64) {
 	// Exact bit movers between files.
 	case isa.FMOV, isa.FBITS, isa.BITSF:
 		return ld, 0
-
-	// Float arithmetic and conversions: rounding mixes all input bits,
-	// so any live result bit makes the sources fully live. (FNEG/FABS
-	// could be exact, but staying conservative costs little: their
-	// operands are usually consumed by arithmetic anyway.)
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FMIN, isa.FMAX:
+	}
+	// Memory ops and branches observe their register operands completely:
+	// a base address can crash out of bounds, a stored value lands in
+	// compared memory, and a branch decides control flow. Every other
+	// kernel — float arithmetic and conversions, where rounding mixes all
+	// input bits — makes its sources fully live when any result bit is.
+	// (FNEG/FABS could be exact, but their operands are usually consumed
+	// by arithmetic anyway.) Operands an op lacks are never applied by
+	// transfer.
+	switch info := isa.Sem(in.Op); {
+	case info.Mem || info.Cond != nil:
+		return allLive, allLive
+	case info.Kernel != nil:
 		u := condAll()
 		return u, u
-	case isa.FSQRT, isa.FNEG, isa.FABS, isa.FEXP, isa.FLN, isa.ITOF, isa.FTOI:
-		return condAll(), 0
-
-	// Memory: the base register is fully live regardless of the loaded
-	// value (a flipped address can crash out of bounds); a store's value
-	// lands in compared memory, so it is fully live too.
-	case isa.LD, isa.FLD:
-		return allLive, 0
-	case isa.ST, isa.FST:
-		return allLive, allLive
-	// Absolute-address stores (hardening spills): no base register, but
-	// the stored value lands in memory, so it is fully observable. The
-	// absolute loads LDA/FLDA have no register sources at all and fall
-	// through to the zero default.
-	case isa.STA, isa.FSTA:
-		return allLive, 0
-
-	// Control flow observes its operands completely.
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE,
-		isa.FBEQ, isa.FBNE, isa.FBLT, isa.FBLE:
-		return allLive, allLive
 	}
-	// NOP, HALT, JMP, CALL, RET, markers: no register operands.
 	return 0, 0
 }
 

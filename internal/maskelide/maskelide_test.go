@@ -2,9 +2,11 @@ package maskelide
 
 import (
 	"testing"
+	"testing/quick"
 
 	"fastflip/internal/isa"
 	"fastflip/internal/prog"
+	"fastflip/internal/qcheck"
 	"fastflip/internal/vm"
 )
 
@@ -328,6 +330,49 @@ func TestDifferentialDeadBits(t *testing.T) {
 		t.Fatal("differential test exercised zero elidable sites")
 	}
 	t.Logf("verified %d provably-dead single-bit flips", flips)
+}
+
+// TestUseMasksSoundForKernels checks the transfer functions against the
+// isa table's semantics: for every op with a kernel, flipping any bit of
+// Ra outside useMasks's ua, or of Rb outside ub, must leave the live bits
+// kernel(a, b, imm) & ld unchanged. Live-out masks are drawn dense,
+// shifted and single-bit so the partial-liveness arms are exercised.
+func TestUseMasksSoundForKernels(t *testing.T) {
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		s := isa.Sem(op)
+		if s.Kernel == nil {
+			continue
+		}
+		prop := func(a, b, ldBits uint64, shape, sh uint8, imm int64) bool {
+			ld := ldBits
+			switch shape % 3 {
+			case 1:
+				ld >>= sh % 64
+			case 2:
+				ld = 1 << (sh % 64)
+			}
+			if s.DivZero && b == 0 {
+				return true // the instruction crashes; no result to compare
+			}
+			ua, ub := useMasks(isa.Instr{Op: op, Imm: imm}, ld)
+			want := s.Kernel(a, b, imm) & ld
+			for bit := 0; bit < 64; bit++ {
+				m := uint64(1) << bit
+				if ua&m == 0 && s.Kernel(a^m, b, imm)&ld != want {
+					t.Logf("%v: a=%#x b=%#x imm=%d ld=%#x: dead a bit %d changes live result bits", op, a, b, imm, ld, bit)
+					return false
+				}
+				if ub&m == 0 && !(s.DivZero && b^m == 0) && s.Kernel(a, b^m, imm)&ld != want {
+					t.Logf("%v: a=%#x b=%#x imm=%d ld=%#x: dead b bit %d changes live result bits", op, a, b, imm, ld, bit)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(prop, qcheck.Config(t, 300)); err != nil {
+			t.Errorf("%v: %v", op, err)
+		}
+	}
 }
 
 func BenchmarkMaskAnalysis(b *testing.B) {

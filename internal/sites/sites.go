@@ -84,6 +84,16 @@ type Class struct {
 // first iteration of a loop is often atypical.
 func (c *Class) Pilot() uint64 { return c.Members[len(c.Members)/2] }
 
+// PilotSite returns the injection site of the class pilot.
+func (c *Class) PilotSite() Site {
+	return Site{
+		Dyn:     c.Pilot(),
+		Operand: isa.Operand{Role: c.Key.Role, Class: c.Class, Reg: c.Reg},
+		Bit:     c.Key.Bit,
+		Width:   c.Width,
+	}
+}
+
 // Size returns the number of sites in the class.
 func (c *Class) Size() int { return len(c.Members) }
 

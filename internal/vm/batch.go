@@ -21,11 +21,7 @@
 // outcomes.
 package vm
 
-import (
-	"math"
-
-	"fastflip/internal/isa"
-)
+import "fastflip/internal/isa"
 
 // Batch is K replicas advancing in lockstep from a shared fork point.
 type Batch struct {
@@ -140,8 +136,13 @@ func (b *Batch) detach(k, pc int, st Status, ck CrashKind) {
 	b.stacks[k] = append([]int(nil), b.stack...)
 }
 
-func (b *Batch) fval(k int, reg uint8) float64 {
-	return math.Float64frombits(b.f[reg][k])
+// regs returns the per-replica column of register r of class c. An absent
+// operand (RegNone) reads an integer column the op ignores.
+func (b *Batch) regs(c isa.RegClass, r uint8) []uint64 {
+	if c == isa.RegFloat {
+		return b.f[r&regMask]
+	}
+	return b.r[r&regMask]
 }
 
 // Step executes one instruction in lockstep across the active set. It
@@ -149,7 +150,7 @@ func (b *Batch) fval(k int, reg uint8) float64 {
 // stop and hand its replicas to a scalar finisher: the active set is
 // empty, or the next instruction is one the experiment driver has to
 // observe on a real Machine (SECEND/HALT events, PC out of bounds, the
-// MaxDyn timeout, a call-stack crash, an undefined opcode).
+// MaxDyn timeout, a call-stack crash, a TRAP, an undefined opcode).
 func (b *Batch) Step() bool {
 	if len(b.active) == 0 {
 		return false
@@ -161,361 +162,136 @@ func (b *Batch) Step() bool {
 		return false
 	}
 	in := b.code[b.pc]
-	switch in.Op {
-	case isa.SECEND, isa.HALT, isa.TRAP:
-		// TRAP stops the batch like HALT so the scalar finisher observes
-		// the detector crash on a real Machine.
-		return false
-	case isa.CALL:
+	s := isa.Sem(in.Op)
+	next := b.pc + 1
+	x := execOf[in.Op]
+	switch x {
+	case xIntKernel, xFloatKernel, xKernel, xIntBranch, xFloatBranch,
+		xLoad, xLoadAbs, xStore, xStoreAbs:
+		// Table semantics, applied per replica below.
+	case xNop, xSecBeg, xROIBeg, xROIEnd:
+		// Markers carry no architectural effect; their events only
+		// matter to the scalar driver at batch boundaries.
+	case xJmp:
+		next = int(in.Imm)
+	case xCall:
 		if len(b.stack) >= maxCallDepth {
 			return false
 		}
-	case isa.RET:
+		b.stack = append(b.stack, next)
+		next = int(in.Imm)
+	case xRet:
 		if len(b.stack) == 0 {
 			return false
 		}
-	}
-	if !isa.Valid(in.Op) {
+		next = b.stack[len(b.stack)-1]
+		b.stack = b.stack[:len(b.stack)-1]
+	default:
+		// SECEND and HALT raise events, TRAP a detector crash, and an
+		// undefined opcode CrashBadInstr: each is for the scalar
+		// finisher to observe on a real Machine.
 		return false
 	}
 
 	b.dyn++
 	b.steps++
-	next := b.pc + 1
+	switch x {
+	case xIntKernel, xFloatKernel, xKernel:
+		b.kernel(s, in)
+	case xIntBranch, xFloatBranch:
+		next = b.branch(s, in, next)
+	case xLoad, xLoadAbs, xStore, xStoreAbs:
+		b.memory(x, s, in)
+	}
+	b.pc = next
+	return true
+}
 
-	switch in.Op {
-	case isa.NOP, isa.SECBEG, isa.ROIBEG, isa.ROIEND:
-		// Markers carry no architectural effect; their events are only
-		// meaningful to the scalar driver at batch boundaries (SECEND and
-		// HALT stop the batch above).
-
-	case isa.ADD:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] + b.r[in.Rb][k]
-		}
-	case isa.SUB:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] - b.r[in.Rb][k]
-		}
-	case isa.MUL:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] * b.r[in.Rb][k]
-		}
-	case isa.DIV, isa.REM:
+// kernel applies the op's kernel to every active replica. A replica whose
+// divisor is zero under a DivZero op detaches Crashed, as a scalar Step
+// would crash.
+//
+// Replicas mostly agree on an instruction's inputs — each differs from the
+// lead only where its flip has propagated — and kernels are pure, so a
+// replica with the lead's inputs takes the lead's result without a call.
+// (DIV and REM, which can detach replicas, are rare enough to call per
+// replica.)
+func (b *Batch) kernel(s *isa.OpInfo, in isa.Instr) {
+	rd := b.regs(s.Dst, in.Rd)
+	ra, rb := b.regs(s.SrcA, in.Ra), b.regs(s.SrcB, in.Rb)
+	kern, imm := s.Kernel, in.Imm
+	if s.DivZero {
 		keep := b.active[:0]
 		for _, k := range b.active {
-			rb := b.r[in.Rb][k]
-			if rb == 0 {
+			if rb[k] == 0 {
 				b.detach(k, b.pc, Crashed, CrashDivZero)
 				continue
 			}
-			if in.Op == isa.DIV {
-				b.r[in.Rd][k] = uint64(int64(b.r[in.Ra][k]) / int64(rb))
-			} else {
-				b.r[in.Rd][k] = uint64(int64(b.r[in.Ra][k]) % int64(rb))
-			}
+			rd[k] = kern(ra[k], rb[k], imm)
 			keep = append(keep, k)
 		}
 		b.active = keep
-	case isa.AND:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] & b.r[in.Rb][k]
-		}
-	case isa.OR:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] | b.r[in.Rb][k]
-		}
-	case isa.XOR:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] ^ b.r[in.Rb][k]
-		}
-	case isa.SHL:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] << (b.r[in.Rb][k] & 63)
-		}
-	case isa.SHR:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] >> (b.r[in.Rb][k] & 63)
-		}
-	case isa.SRA:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = uint64(int64(b.r[in.Ra][k]) >> (b.r[in.Rb][k] & 63))
-		}
-	case isa.SLT:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b2u(int64(b.r[in.Ra][k]) < int64(b.r[in.Rb][k]))
-		}
-	case isa.SLTU:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b2u(b.r[in.Ra][k] < b.r[in.Rb][k])
-		}
-
-	case isa.ADDI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] + uint64(in.Imm)
-		}
-	case isa.MULI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] * uint64(in.Imm)
-		}
-	case isa.ANDI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] & uint64(in.Imm)
-		}
-	case isa.ORI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] | uint64(in.Imm)
-		}
-	case isa.XORI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] ^ uint64(in.Imm)
-		}
-	case isa.SHLI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] << (uint64(in.Imm) & 63)
-		}
-	case isa.SHRI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k] >> (uint64(in.Imm) & 63)
-		}
-	case isa.SRAI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = uint64(int64(b.r[in.Ra][k]) >> (uint64(in.Imm) & 63))
-		}
-
-	case isa.MOV:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.r[in.Ra][k]
-		}
-	case isa.NOT:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = ^b.r[in.Ra][k]
-		}
-	case isa.NEG:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = -b.r[in.Ra][k]
-		}
-	case isa.LI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = uint64(in.Imm)
-		}
-
-	case isa.ADD32:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = (b.r[in.Ra][k] + b.r[in.Rb][k]) & 0xffffffff
-		}
-	case isa.ROTR32:
-		s := uint(in.Imm) & 31
-		for _, k := range b.active {
-			x := uint32(b.r[in.Ra][k])
-			b.r[in.Rd][k] = uint64(x>>s | x<<(32-s))
-		}
-	case isa.NOT32:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = ^b.r[in.Ra][k] & 0xffffffff
-		}
-
-	case isa.FADD:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(b.fval(k, in.Ra) + b.fval(k, in.Rb))
-		}
-	case isa.FSUB:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(b.fval(k, in.Ra) - b.fval(k, in.Rb))
-		}
-	case isa.FMUL:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(b.fval(k, in.Ra) * b.fval(k, in.Rb))
-		}
-	case isa.FDIV:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(b.fval(k, in.Ra) / b.fval(k, in.Rb))
-		}
-	case isa.FMIN:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(math.Min(b.fval(k, in.Ra), b.fval(k, in.Rb)))
-		}
-	case isa.FMAX:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(math.Max(b.fval(k, in.Ra), b.fval(k, in.Rb)))
-		}
-
-	case isa.FSQRT:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(math.Sqrt(b.fval(k, in.Ra)))
-		}
-	case isa.FNEG:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(-b.fval(k, in.Ra))
-		}
-	case isa.FABS:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(math.Abs(b.fval(k, in.Ra)))
-		}
-	case isa.FEXP:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(math.Exp(b.fval(k, in.Ra)))
-		}
-	case isa.FLN:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(math.Log(b.fval(k, in.Ra)))
-		}
-	case isa.FMOV:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = b.f[in.Ra][k]
-		}
-
-	case isa.FLI:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = uint64(in.Imm)
-		}
-
-	case isa.ITOF:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = math.Float64bits(float64(int64(b.r[in.Ra][k])))
-		}
-	case isa.FTOI:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = ftoi(b.fval(k, in.Ra))
-		}
-	case isa.FBITS:
-		for _, k := range b.active {
-			b.r[in.Rd][k] = b.f[in.Ra][k]
-		}
-	case isa.BITSF:
-		for _, k := range b.active {
-			b.f[in.Rd][k] = b.r[in.Ra][k]
-		}
-
-	case isa.LD, isa.FLD:
-		keep := b.active[:0]
-		memLen := b.base.memLimit()
-		for _, k := range b.active {
-			addr := b.r[in.Ra][k] + uint64(in.Imm)
-			if addr >= memLen {
-				b.detach(k, b.pc, Crashed, CrashMemOOB)
-				continue
-			}
-			if in.Op == isa.LD {
-				b.r[in.Rd][k] = b.load(k, addr)
-			} else {
-				b.f[in.Rd][k] = b.load(k, addr)
-			}
-			keep = append(keep, k)
-		}
-		b.active = keep
-	case isa.ST, isa.FST:
-		keep := b.active[:0]
-		memLen := b.base.memLimit()
-		for _, k := range b.active {
-			addr := b.r[in.Rb][k] + uint64(in.Imm)
-			if addr >= memLen {
-				b.detach(k, b.pc, Crashed, CrashMemOOB)
-				continue
-			}
-			if in.Op == isa.ST {
-				b.store(k, addr, b.r[in.Ra][k])
-			} else {
-				b.store(k, addr, b.f[in.Ra][k])
-			}
-			keep = append(keep, k)
-		}
-		b.active = keep
-
-	case isa.LDA, isa.FLDA:
-		keep := b.active[:0]
-		memLen := uint64(len(b.base.Mem))
-		addr := uint64(in.Imm)
-		for _, k := range b.active {
-			if addr >= memLen {
-				b.detach(k, b.pc, Crashed, CrashMemOOB)
-				continue
-			}
-			if in.Op == isa.LDA {
-				b.r[in.Rd][k] = b.load(k, addr)
-			} else {
-				b.f[in.Rd][k] = b.load(k, addr)
-			}
-			keep = append(keep, k)
-		}
-		b.active = keep
-	case isa.STA, isa.FSTA:
-		keep := b.active[:0]
-		memLen := uint64(len(b.base.Mem))
-		addr := uint64(in.Imm)
-		for _, k := range b.active {
-			if addr >= memLen {
-				b.detach(k, b.pc, Crashed, CrashMemOOB)
-				continue
-			}
-			if in.Op == isa.STA {
-				b.store(k, addr, b.r[in.Ra][k])
-			} else {
-				b.store(k, addr, b.f[in.Ra][k])
-			}
-			keep = append(keep, k)
-		}
-		b.active = keep
-
-	case isa.JMP:
-		next = int(in.Imm)
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE:
-		taken := func(k int) bool {
-			a, bb := int64(b.r[in.Ra][k]), int64(b.r[in.Rb][k])
-			switch in.Op {
-			case isa.BEQ:
-				return a == bb
-			case isa.BNE:
-				return a != bb
-			case isa.BLT:
-				return a < bb
-			case isa.BLE:
-				return a <= bb
-			case isa.BGT:
-				return a > bb
-			default:
-				return a >= bb
-			}
-		}
-		next = b.branch(in, next, taken)
-	case isa.FBEQ, isa.FBNE, isa.FBLT, isa.FBLE:
-		taken := func(k int) bool {
-			a, bb := b.fval(k, in.Ra), b.fval(k, in.Rb)
-			switch in.Op {
-			case isa.FBEQ:
-				return a == bb
-			case isa.FBNE:
-				return a != bb
-			case isa.FBLT:
-				return a < bb
-			default:
-				return a <= bb
-			}
-		}
-		next = b.branch(in, next, taken)
-
-	case isa.CALL:
-		b.stack = append(b.stack, next)
-		next = int(in.Imm)
-	case isa.RET:
-		next = b.stack[len(b.stack)-1]
-		b.stack = b.stack[:len(b.stack)-1]
+		return
 	}
+	lead := b.active[0]
+	la, lb := ra[lead], rb[lead]
+	lr := kern(la, lb, imm)
+	for _, k := range b.active {
+		if a, bv := ra[k], rb[k]; a != la || bv != lb {
+			rd[k] = kern(a, bv, imm)
+		} else {
+			rd[k] = lr
+		}
+	}
+}
 
-	b.pc = next
-	return true
+// memory performs a load or store for every active replica through its
+// memory overlay. A replica whose address falls out of bounds detaches
+// Crashed.
+func (b *Batch) memory(x exec, s *isa.OpInfo, in isa.Instr) {
+	load := x == xLoad || x == xLoadAbs
+	val, baseReg := b.regs(s.SrcA, in.Ra), in.Rb
+	if load {
+		val, baseReg = b.regs(s.Dst, in.Rd), in.Ra
+	}
+	var base []uint64 // nil for the absolute forms
+	limit := uint64(len(b.base.Mem))
+	if x == xLoad || x == xStore {
+		base, limit = b.r[baseReg], b.base.memLimit()
+	}
+	keep := b.active[:0]
+	for _, k := range b.active {
+		addr := uint64(in.Imm)
+		if base != nil {
+			addr += base[k]
+		}
+		if addr >= limit {
+			b.detach(k, b.pc, Crashed, CrashMemOOB)
+			continue
+		}
+		if load {
+			val[k] = b.load(k, addr)
+		} else {
+			b.store(k, addr, val[k])
+		}
+		keep = append(keep, k)
+	}
+	b.active = keep
 }
 
 // branch partitions the active set by branch decision: the subset agreeing
 // with the first active replica stays in lockstep, the rest detach Running
 // at their own targets (the branch itself already executed for them).
-func (b *Batch) branch(in isa.Instr, fallthru int, taken func(k int) bool) int {
-	groupTaken := taken(b.active[0])
+func (b *Batch) branch(s *isa.OpInfo, in isa.Instr, fallthru int) int {
+	ra, rb := b.regs(s.SrcA, in.Ra), b.regs(s.SrcB, in.Rb)
+	lead := b.active[0]
+	la, lb := ra[lead], rb[lead]
+	groupTaken := s.Cond(la, lb)
 	keep := b.active[:0]
 	for _, k := range b.active {
 		t := groupTaken
-		if k != b.active[0] {
-			t = taken(k)
+		if ra[k] != la || rb[k] != lb {
+			t = s.Cond(ra[k], rb[k])
 		}
 		if t == groupTaken {
 			keep = append(keep, k)

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fastflip/internal/isa"
@@ -177,6 +179,125 @@ func TestBatchStopsBeforeEvents(t *testing.T) {
 	batch.MaterializeInto(0, m)
 	if ev := m.Step(); ev.Kind != EvSecEnd {
 		t.Fatalf("materialized step = %v, want EvSecEnd", ev.Kind)
+	}
+}
+
+// TestBatchStepMatchesScalarPerOpcode checks every opcode the batch
+// executes — each valid opcode outside its stop-before set — against the
+// scalar interpreter. From random register files and memory, K replicas
+// with random flips take one Batch.Step, and each must reach the state one
+// scalar Step of the same flipped machine reaches: registers, memory, PC,
+// dynamic count, call stack, status and crash kind.
+func TestBatchStepMatchesScalarPerOpcode(t *testing.T) {
+	const (
+		memWords = 64
+		codeLen  = 8
+		K        = 16
+		trials   = 40
+	)
+	rng := rand.New(rand.NewSource(11))
+	// value favors the edges the semantics branch on: zero divisors,
+	// addresses just inside and outside memory, small negatives, floats.
+	value := func() uint64 {
+		switch rng.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return uint64(rng.Intn(memWords + 8))
+		case 2:
+			return uint64(-rng.Int63n(4))
+		case 3:
+			return math.Float64bits(rng.NormFloat64() * 100)
+		}
+		return rng.Uint64()
+	}
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		switch op {
+		case isa.SECEND, isa.HALT, isa.TRAP:
+			continue // the batch stops before these
+		}
+		for trial := 0; trial < trials; trial++ {
+			in := isa.Instr{
+				Op:  op,
+				Rd:  uint8(rng.Intn(isa.NumRegs)),
+				Ra:  uint8(rng.Intn(isa.NumRegs)),
+				Rb:  uint8(rng.Intn(isa.NumRegs)),
+				Imm: int64(value()),
+			}
+			switch isa.Info(op).Imm {
+			case isa.ImmTarget, isa.ImmCallee:
+				in.Imm = rng.Int63n(codeLen)
+			case isa.ImmOffset:
+				in.Imm = rng.Int63n(memWords + 8)
+			}
+			code := make([]isa.Instr, codeLen)
+			code[0] = in
+			fork := New(code, 0, memWords)
+			if trial%2 == 1 {
+				fork.MemLimit = memWords - 16
+			}
+			for r := 0; r < isa.NumRegs; r++ {
+				fork.R[r], fork.F[r] = value(), value()
+			}
+			for a := range fork.Mem {
+				fork.Mem[a] = value()
+			}
+			fork.Stack = []int{rng.Intn(codeLen)}
+			fork.Dyn = uint64(rng.Intn(100))
+
+			b := NewBatch(fork, K)
+			flips := make([]flipSpec, K)
+			for k := range flips {
+				flips[k] = flipSpec{float: rng.Intn(2) == 0, reg: rng.Intn(isa.NumRegs), bit: uint(rng.Intn(64))}
+				if flips[k].float {
+					b.FlipFloat(k, flips[k].reg, flips[k].bit)
+				} else {
+					b.FlipInt(k, flips[k].reg, flips[k].bit)
+				}
+			}
+			if !b.Step() {
+				t.Fatalf("%v: batch refused to step", in)
+			}
+			for k, fl := range flips {
+				want := fork.Clone()
+				if fl.float {
+					want.FlipFloat(fl.reg, fl.bit)
+				} else {
+					want.FlipInt(fl.reg, fl.bit)
+				}
+				want.Step()
+				got := fork.Clone()
+				b.MaterializeInto(k, got)
+				switch {
+				case got.R != want.R || got.F != want.F:
+					t.Fatalf("%v replica %d (%+v): registers differ", in, k, fl)
+				case !slices.Equal(got.Mem, want.Mem):
+					t.Fatalf("%v replica %d (%+v): memory differs", in, k, fl)
+				case got.PC != want.PC || got.Dyn != want.Dyn || !slices.Equal(got.Stack, want.Stack):
+					t.Fatalf("%v replica %d (%+v): pc/dyn/stack %d/%d/%v, want %d/%d/%v",
+						in, k, fl, got.PC, got.Dyn, got.Stack, want.PC, want.Dyn, want.Stack)
+				case got.Status != want.Status || got.Crash != want.Crash:
+					t.Fatalf("%v replica %d (%+v): status %v/%v, want %v/%v",
+						in, k, fl, got.Status, got.Crash, want.Status, want.Crash)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchStopsOnUndefinedOpcode: the batch must not step over an opcode
+// the ISA does not define; the scalar finisher raises CrashBadInstr.
+func TestBatchStopsOnUndefinedOpcode(t *testing.T) {
+	code := []isa.Instr{{Op: isa.Op(isa.NumOps)}, {Op: isa.HALT}}
+	fork := New(code, 0, 4)
+	b := NewBatch(fork, 2)
+	if b.Step() {
+		t.Fatal("batch stepped over an undefined opcode")
+	}
+	m := fork.Clone()
+	b.MaterializeInto(0, m)
+	if ev := m.Step(); ev.Kind != EvCrash || m.Crash != CrashBadInstr {
+		t.Fatalf("scalar finisher: %v/%v, want crash %v", ev.Kind, m.Crash, CrashBadInstr)
 	}
 }
 

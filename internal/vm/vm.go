@@ -269,6 +269,15 @@ func (m *Machine) recordWrite(addr uint64) {
 	m.journal = append(m.journal, memWrite{addr: addr, prev: m.Mem[addr]})
 }
 
+// store writes memory word addr, journaling its pre-image when a journal
+// is active.
+func (m *Machine) store(addr, v uint64) {
+	if m.journaling {
+		m.recordWrite(addr)
+	}
+	m.Mem[addr] = v
+}
+
 // memLimit returns the exclusive address bound of the register-addressed
 // memory ops.
 func (m *Machine) memLimit() uint64 {
@@ -296,6 +305,89 @@ func (m *Machine) crash(k CrashKind) Event {
 	return Event{Kind: EvCrash}
 }
 
+// exec is the interpreters' dispatch code for an opcode, derived once from
+// the isa table: one code per semantic form, and one per control op the
+// interpreters implement themselves. Dense codes dispatch through a jump
+// table, and splitting kernels and branches by register file lets the
+// common all-integer and all-float forms read registers without a class
+// test.
+type exec uint8
+
+const (
+	xBad         exec = iota // undefined opcode
+	xIntKernel               // kernel over integer registers only
+	xFloatKernel             // kernel over float registers only
+	xKernel                  // kernel mixing the files (conversions, bit moves)
+	xIntBranch
+	xFloatBranch
+	xLoad     // Rd <- Mem[Ra+Imm]
+	xLoadAbs  // Rd <- Mem[Imm]
+	xStore    // Mem[Rb+Imm] <- Ra
+	xStoreAbs // Mem[Imm] <- Ra
+	xNop
+	xHalt
+	xTrap
+	xJmp
+	xCall
+	xRet
+	xSecBeg
+	xSecEnd
+	xROIBeg
+	xROIEnd
+)
+
+// regMask keeps register reads in range. The interpreters read a source
+// field even when an op does not use it (its kernel ignores the value),
+// and unused fields are not guaranteed to be zero.
+const regMask = isa.NumRegs - 1
+
+var execOf = func() (t [256]exec) {
+	control := map[isa.Op]exec{
+		isa.NOP: xNop, isa.HALT: xHalt, isa.TRAP: xTrap,
+		isa.JMP: xJmp, isa.CALL: xCall, isa.RET: xRet,
+		isa.SECBEG: xSecBeg, isa.SECEND: xSecEnd,
+		isa.ROIBEG: xROIBeg, isa.ROIEND: xROIEnd,
+	}
+	for i := range t {
+		op := isa.Op(i)
+		s := isa.Sem(op)
+		load := s.Dst != isa.RegNone
+		switch {
+		case s.Kernel != nil && onlyClass(s, isa.RegInt):
+			t[i] = xIntKernel
+		case s.Kernel != nil && onlyClass(s, isa.RegFloat):
+			t[i] = xFloatKernel
+		case s.Kernel != nil:
+			t[i] = xKernel
+		case s.Cond != nil && s.SrcA == isa.RegFloat:
+			t[i] = xFloatBranch
+		case s.Cond != nil:
+			t[i] = xIntBranch
+		case s.Mem && load && s.SrcA != isa.RegNone:
+			t[i] = xLoad
+		case s.Mem && load:
+			t[i] = xLoadAbs
+		case s.Mem && s.SrcB != isa.RegNone:
+			t[i] = xStore
+		case s.Mem:
+			t[i] = xStoreAbs
+		default:
+			t[i] = control[op]
+		}
+	}
+	return t
+}()
+
+// onlyClass reports whether every register operand s has is of class c.
+func onlyClass(s *isa.OpInfo, c isa.RegClass) bool {
+	for _, o := range []isa.RegClass{s.Dst, s.SrcA, s.SrcB} {
+		if o != c && o != isa.RegNone {
+			return false
+		}
+	}
+	return true
+}
+
 // Step executes one instruction and reports the resulting event. Calling
 // Step on a non-running machine returns the terminal event again without
 // executing anything.
@@ -321,248 +413,83 @@ func (m *Machine) Step() Event {
 	next := m.PC + 1
 	ev := Event{}
 
-	switch in.Op {
-	case isa.NOP:
-	case isa.HALT:
+	s := isa.Sem(in.Op)
+	switch execOf[in.Op] {
+	case xIntKernel:
+		b := m.R[in.Rb&regMask]
+		if s.DivZero && b == 0 {
+			return m.crash(CrashDivZero)
+		}
+		m.R[in.Rd] = s.Kernel(m.R[in.Ra&regMask], b, in.Imm)
+	case xFloatKernel:
+		m.F[in.Rd] = s.Kernel(m.F[in.Ra&regMask], m.F[in.Rb&regMask], in.Imm)
+	case xKernel:
+		b := m.reg(s.SrcB, in.Rb)
+		if s.DivZero && b == 0 {
+			return m.crash(CrashDivZero)
+		}
+		m.setReg(s.Dst, in.Rd, s.Kernel(m.reg(s.SrcA, in.Ra), b, in.Imm))
+	case xIntBranch:
+		if s.Cond(m.R[in.Ra], m.R[in.Rb]) {
+			next = int(in.Imm)
+		}
+	case xFloatBranch:
+		if s.Cond(m.F[in.Ra], m.F[in.Rb]) {
+			next = int(in.Imm)
+		}
+	case xLoad:
+		addr := m.R[in.Ra] + uint64(in.Imm)
+		if addr >= m.memLimit() {
+			return m.crash(CrashMemOOB)
+		}
+		m.setReg(s.Dst, in.Rd, m.Mem[addr])
+	case xLoadAbs:
+		addr := uint64(in.Imm)
+		if addr >= uint64(len(m.Mem)) {
+			return m.crash(CrashMemOOB)
+		}
+		m.setReg(s.Dst, in.Rd, m.Mem[addr])
+	case xStore:
+		addr := m.R[in.Rb] + uint64(in.Imm)
+		if addr >= m.memLimit() {
+			return m.crash(CrashMemOOB)
+		}
+		m.store(addr, m.reg(s.SrcA, in.Ra))
+	case xStoreAbs:
+		addr := uint64(in.Imm)
+		if addr >= uint64(len(m.Mem)) {
+			return m.crash(CrashMemOOB)
+		}
+		m.store(addr, m.reg(s.SrcA, in.Ra))
+	case xNop:
+	case xHalt:
 		m.Status = Halted
 		m.PC = next
 		return Event{Kind: EvHalt}
-
-	case isa.ADD:
-		m.R[in.Rd] = m.R[in.Ra] + m.R[in.Rb]
-	case isa.SUB:
-		m.R[in.Rd] = m.R[in.Ra] - m.R[in.Rb]
-	case isa.MUL:
-		m.R[in.Rd] = m.R[in.Ra] * m.R[in.Rb]
-	case isa.DIV:
-		if m.R[in.Rb] == 0 {
-			return m.crash(CrashDivZero)
-		}
-		m.R[in.Rd] = uint64(int64(m.R[in.Ra]) / int64(m.R[in.Rb]))
-	case isa.REM:
-		if m.R[in.Rb] == 0 {
-			return m.crash(CrashDivZero)
-		}
-		m.R[in.Rd] = uint64(int64(m.R[in.Ra]) % int64(m.R[in.Rb]))
-	case isa.AND:
-		m.R[in.Rd] = m.R[in.Ra] & m.R[in.Rb]
-	case isa.OR:
-		m.R[in.Rd] = m.R[in.Ra] | m.R[in.Rb]
-	case isa.XOR:
-		m.R[in.Rd] = m.R[in.Ra] ^ m.R[in.Rb]
-	case isa.SHL:
-		m.R[in.Rd] = m.R[in.Ra] << (m.R[in.Rb] & 63)
-	case isa.SHR:
-		m.R[in.Rd] = m.R[in.Ra] >> (m.R[in.Rb] & 63)
-	case isa.SRA:
-		m.R[in.Rd] = uint64(int64(m.R[in.Ra]) >> (m.R[in.Rb] & 63))
-	case isa.SLT:
-		m.R[in.Rd] = b2u(int64(m.R[in.Ra]) < int64(m.R[in.Rb]))
-	case isa.SLTU:
-		m.R[in.Rd] = b2u(m.R[in.Ra] < m.R[in.Rb])
-
-	case isa.ADDI:
-		m.R[in.Rd] = m.R[in.Ra] + uint64(in.Imm)
-	case isa.MULI:
-		m.R[in.Rd] = m.R[in.Ra] * uint64(in.Imm)
-	case isa.ANDI:
-		m.R[in.Rd] = m.R[in.Ra] & uint64(in.Imm)
-	case isa.ORI:
-		m.R[in.Rd] = m.R[in.Ra] | uint64(in.Imm)
-	case isa.XORI:
-		m.R[in.Rd] = m.R[in.Ra] ^ uint64(in.Imm)
-	case isa.SHLI:
-		m.R[in.Rd] = m.R[in.Ra] << (uint64(in.Imm) & 63)
-	case isa.SHRI:
-		m.R[in.Rd] = m.R[in.Ra] >> (uint64(in.Imm) & 63)
-	case isa.SRAI:
-		m.R[in.Rd] = uint64(int64(m.R[in.Ra]) >> (uint64(in.Imm) & 63))
-
-	case isa.MOV:
-		m.R[in.Rd] = m.R[in.Ra]
-	case isa.NOT:
-		m.R[in.Rd] = ^m.R[in.Ra]
-	case isa.NEG:
-		m.R[in.Rd] = -m.R[in.Ra]
-	case isa.LI:
-		m.R[in.Rd] = uint64(in.Imm)
-
-	case isa.ADD32:
-		m.R[in.Rd] = (m.R[in.Ra] + m.R[in.Rb]) & 0xffffffff
-	case isa.ROTR32:
-		x := uint32(m.R[in.Ra])
-		s := uint(in.Imm) & 31
-		m.R[in.Rd] = uint64(x>>s | x<<(32-s))
-	case isa.NOT32:
-		m.R[in.Rd] = ^m.R[in.Ra] & 0xffffffff
-
-	case isa.FADD:
-		m.setF(in.Rd, m.f(in.Ra)+m.f(in.Rb))
-	case isa.FSUB:
-		m.setF(in.Rd, m.f(in.Ra)-m.f(in.Rb))
-	case isa.FMUL:
-		m.setF(in.Rd, m.f(in.Ra)*m.f(in.Rb))
-	case isa.FDIV:
-		m.setF(in.Rd, m.f(in.Ra)/m.f(in.Rb))
-	case isa.FMIN:
-		m.setF(in.Rd, math.Min(m.f(in.Ra), m.f(in.Rb)))
-	case isa.FMAX:
-		m.setF(in.Rd, math.Max(m.f(in.Ra), m.f(in.Rb)))
-
-	case isa.FSQRT:
-		m.setF(in.Rd, math.Sqrt(m.f(in.Ra)))
-	case isa.FNEG:
-		m.setF(in.Rd, -m.f(in.Ra))
-	case isa.FABS:
-		m.setF(in.Rd, math.Abs(m.f(in.Ra)))
-	case isa.FEXP:
-		m.setF(in.Rd, math.Exp(m.f(in.Ra)))
-	case isa.FLN:
-		m.setF(in.Rd, math.Log(m.f(in.Ra)))
-	case isa.FMOV:
-		m.F[in.Rd] = m.F[in.Ra]
-
-	case isa.FLI:
-		m.F[in.Rd] = uint64(in.Imm)
-
-	case isa.ITOF:
-		m.setF(in.Rd, float64(int64(m.R[in.Ra])))
-	case isa.FTOI:
-		m.R[in.Rd] = ftoi(m.f(in.Ra))
-	case isa.FBITS:
-		m.R[in.Rd] = m.F[in.Ra]
-	case isa.BITSF:
-		m.F[in.Rd] = m.R[in.Ra]
-
-	case isa.LD:
-		addr := m.R[in.Ra] + uint64(in.Imm)
-		if addr >= m.memLimit() {
-			return m.crash(CrashMemOOB)
-		}
-		m.R[in.Rd] = m.Mem[addr]
-	case isa.ST:
-		addr := m.R[in.Rb] + uint64(in.Imm)
-		if addr >= m.memLimit() {
-			return m.crash(CrashMemOOB)
-		}
-		if m.journaling {
-			m.recordWrite(addr)
-		}
-		m.Mem[addr] = m.R[in.Ra]
-	case isa.FLD:
-		addr := m.R[in.Ra] + uint64(in.Imm)
-		if addr >= m.memLimit() {
-			return m.crash(CrashMemOOB)
-		}
-		m.F[in.Rd] = m.Mem[addr]
-	case isa.FST:
-		addr := m.R[in.Rb] + uint64(in.Imm)
-		if addr >= m.memLimit() {
-			return m.crash(CrashMemOOB)
-		}
-		if m.journaling {
-			m.recordWrite(addr)
-		}
-		m.Mem[addr] = m.F[in.Ra]
-
-	case isa.JMP:
+	case xTrap:
+		return m.crash(CrashTrap)
+	case xJmp:
 		next = int(in.Imm)
-	case isa.BEQ:
-		if int64(m.R[in.Ra]) == int64(m.R[in.Rb]) {
-			next = int(in.Imm)
-		}
-	case isa.BNE:
-		if int64(m.R[in.Ra]) != int64(m.R[in.Rb]) {
-			next = int(in.Imm)
-		}
-	case isa.BLT:
-		if int64(m.R[in.Ra]) < int64(m.R[in.Rb]) {
-			next = int(in.Imm)
-		}
-	case isa.BLE:
-		if int64(m.R[in.Ra]) <= int64(m.R[in.Rb]) {
-			next = int(in.Imm)
-		}
-	case isa.BGT:
-		if int64(m.R[in.Ra]) > int64(m.R[in.Rb]) {
-			next = int(in.Imm)
-		}
-	case isa.BGE:
-		if int64(m.R[in.Ra]) >= int64(m.R[in.Rb]) {
-			next = int(in.Imm)
-		}
-	case isa.FBEQ:
-		if m.f(in.Ra) == m.f(in.Rb) {
-			next = int(in.Imm)
-		}
-	case isa.FBNE:
-		if m.f(in.Ra) != m.f(in.Rb) {
-			next = int(in.Imm)
-		}
-	case isa.FBLT:
-		if m.f(in.Ra) < m.f(in.Rb) {
-			next = int(in.Imm)
-		}
-	case isa.FBLE:
-		if m.f(in.Ra) <= m.f(in.Rb) {
-			next = int(in.Imm)
-		}
-
-	case isa.CALL:
+	case xCall:
 		if len(m.Stack) >= maxCallDepth {
 			return m.crash(CrashStackOverflow)
 		}
 		m.Stack = append(m.Stack, next)
 		next = int(in.Imm)
-	case isa.RET:
+	case xRet:
 		if len(m.Stack) == 0 {
 			return m.crash(CrashStackUnderflow)
 		}
 		next = m.Stack[len(m.Stack)-1]
 		m.Stack = m.Stack[:len(m.Stack)-1]
-
-	case isa.TRAP:
-		return m.crash(CrashTrap)
-	case isa.LDA:
-		addr := uint64(in.Imm)
-		if addr >= uint64(len(m.Mem)) {
-			return m.crash(CrashMemOOB)
-		}
-		m.R[in.Rd] = m.Mem[addr]
-	case isa.STA:
-		addr := uint64(in.Imm)
-		if addr >= uint64(len(m.Mem)) {
-			return m.crash(CrashMemOOB)
-		}
-		if m.journaling {
-			m.recordWrite(addr)
-		}
-		m.Mem[addr] = m.R[in.Ra]
-	case isa.FLDA:
-		addr := uint64(in.Imm)
-		if addr >= uint64(len(m.Mem)) {
-			return m.crash(CrashMemOOB)
-		}
-		m.F[in.Rd] = m.Mem[addr]
-	case isa.FSTA:
-		addr := uint64(in.Imm)
-		if addr >= uint64(len(m.Mem)) {
-			return m.crash(CrashMemOOB)
-		}
-		if m.journaling {
-			m.recordWrite(addr)
-		}
-		m.Mem[addr] = m.F[in.Ra]
-
-	case isa.SECBEG:
+	case xSecBeg:
 		ev = Event{Kind: EvSecBeg, Sec: int(in.Imm)}
-	case isa.SECEND:
+	case xSecEnd:
 		ev = Event{Kind: EvSecEnd, Sec: int(in.Imm)}
-	case isa.ROIBEG:
+	case xROIBeg:
 		ev = Event{Kind: EvROIBeg}
-	case isa.ROIEND:
+	case xROIEnd:
 		ev = Event{Kind: EvROIEnd}
-
 	default:
 		return m.crash(CrashBadInstr)
 	}
@@ -597,21 +524,20 @@ func (m *Machine) RunUntilDyn(n uint64) Event {
 	return Event{}
 }
 
-func (m *Machine) f(r uint8) float64       { return math.Float64frombits(m.F[r]) }
-func (m *Machine) setF(r uint8, v float64) { m.F[r] = math.Float64bits(v) }
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
+// reg reads source register r of class c. An absent operand (RegNone)
+// reads an integer register the op ignores.
+func (m *Machine) reg(c isa.RegClass, r uint8) uint64 {
+	if c == isa.RegFloat {
+		return m.F[r&regMask]
 	}
-	return 0
+	return m.R[r&regMask]
 }
 
-// ftoi converts like x86 CVTTSD2SI: truncate toward zero; NaN and values
-// outside the int64 range produce the "integer indefinite" value minInt64.
-func ftoi(v float64) uint64 {
-	if math.IsNaN(v) || v >= math.MaxInt64 || v < math.MinInt64 {
-		return 1 << 63
+// setReg writes register r of class c, which must not be RegNone.
+func (m *Machine) setReg(c isa.RegClass, r uint8, v uint64) {
+	if c == isa.RegFloat {
+		m.F[r] = v
+	} else {
+		m.R[r] = v
 	}
-	return uint64(int64(v))
 }
