@@ -7,7 +7,7 @@
 //	ffbench -benchmarks lud,sha2    # a subset
 //	ffbench -artifact table3        # one artifact
 //	ffbench -quick                  # fewer sensitivity samples
-//	ffbench -out bench.json         # machine-readable perf record
+//	ffbench -out bench.json         # per-version analysis summaries as JSON
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "injection worker goroutines (0 = GOMAXPROCS)")
 		quick      = flag.Bool("quick", false, "fewer sensitivity samples for a faster run")
 		quiet      = flag.Bool("quiet", false, "suppress per-version progress lines")
-		out        = flag.String("out", "", "write per-version perf records (wall time, sim-instrs, clean/faulty split, speedup) as JSON to this file")
+		out        = flag.String("out", "", "write a JSON list of per-version analysis summaries (the fastflip -json shape, with baseline and targets) to this file")
 		walDir     = flag.String("wal-dir", "", "write-ahead campaign log directory (crash-safe persistence of completed experiments)")
 		resume     = flag.Bool("resume", false, "with -wal-dir: merge experiments a previous (crashed) run logged and re-execute only the remainder")
 		noElide    = flag.Bool("no-elide", false, "disable the static masking tier (simulate every experiment instead of proving masked bits)")
@@ -101,9 +101,9 @@ func main() {
 	}
 
 	if *out != "" {
-		data, err := json.MarshalIndent(suite.PerfRecords(), "", "  ")
+		data, err := json.MarshalIndent(suite.Summaries(), "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ffbench: encode perf records:", err)
+			fmt.Fprintln(os.Stderr, "ffbench: encode summaries:", err)
 			os.Exit(1)
 		}
 		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {

@@ -108,6 +108,9 @@ type (
 	// Summary is the machine-readable digest of one analysis (the shape
 	// fastflip -json and the ffserved API emit).
 	Summary = core.Summary
+	// Telemetry is the part of a Summary that describes how the run
+	// executed; clear it (s.Telemetry = Telemetry{}) to compare outcomes.
+	Telemetry = core.Telemetry
 	// Progress is a live snapshot of a running Analyze campaign,
 	// reported through Analyzer.Progress.
 	Progress = core.Progress

@@ -92,8 +92,7 @@ func TestDistributedFFTSmallWorkerKilled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumRef := rRef.Summarize(cfg.Epsilon, nil)
-	neutralize(sumRef)
+	sumRef := summaryOf(t, rRef, cfg, false)
 
 	dir := t.TempDir()
 	victim, url1 := spawnWorker(t, dir, "victim")
@@ -140,8 +139,7 @@ func TestDistributedFFTSmallWorkerKilled(t *testing.T) {
 	if o.err != nil {
 		t.Fatal(o.err)
 	}
-	sum := o.r.Summarize(cfg.Epsilon, nil)
-	neutralize(sum)
+	sum := summaryOf(t, o.r, cfg, true)
 	if !reflect.DeepEqual(sumRef, sum) {
 		t.Errorf("summary after worker kill differs from uninterrupted local run:\nlocal: %+v\ndist:  %+v", sumRef, sum)
 	}
@@ -185,8 +183,7 @@ func TestDistributedFFTSmallWorkerStalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumRef := rRef.Summarize(cfg.Epsilon, nil)
-	neutralize(sumRef)
+	sumRef := summaryOf(t, rRef, cfg, false)
 
 	var mu sync.Mutex
 	stalled := false
@@ -242,8 +239,7 @@ func TestDistributedFFTSmallWorkerStalled(t *testing.T) {
 		t.Fatal(o.err)
 	}
 
-	sum := o.r.Summarize(cfg.Epsilon, nil)
-	neutralize(sum)
+	sum := summaryOf(t, o.r, cfg, true)
 	if !reflect.DeepEqual(sumRef, sum) {
 		t.Errorf("summary with stalled worker differs from uninterrupted local run:\nlocal: %+v\ndist:  %+v", sumRef, sum)
 	}

@@ -183,40 +183,23 @@ type Result struct {
 	FFInject   inject.Stats
 	FFSens     sens.Stats
 	BaseInject inject.Stats
-	FFWall     time.Duration
-	BaseWall   time.Duration
 
 	// FFRecovered is the portion of FFInject merged from a write-ahead log
 	// instead of re-executed; newly simulated work is FFInject minus
 	// FFRecovered. Zero unless Cfg.WALDir and Cfg.Resume are set.
 	FFRecovered inject.Stats
-	// WALNotes records non-fatal write-ahead-log anomalies: torn tails
-	// truncated during recovery, lock conflicts, discarded stale state.
-	WALNotes []string
-	// WALDegraded reports that at least one section's WAL segment hit a
-	// persistent write failure: the analysis completed, but that section's
-	// results are memory-only and a resume will re-inject it.
-	WALDegraded bool
 	// Poisoned lists the experiments quarantined after panicking twice;
 	// their outcome slots carry the conservative SDC-Bad fill.
 	Poisoned []inject.Poison
-	// RemoteExperiments counts experiments executed by remote shard
-	// workers through Cfg.SectionInjector (included in FFInject); zero for
-	// a purely local campaign.
-	RemoteExperiments int
-	// ShardsMerged counts the remote shard streams merged into this
-	// campaign.
-	ShardsMerged int
-	// HedgedDispatches counts straggler shard leases re-dispatched to an
-	// idle worker while the original was still streaming; Releases counts
-	// finished dispatches that returned unresolved work to the lease
-	// queue. Zero for a purely local campaign.
-	HedgedDispatches int
-	Releases         int
-	// PanicRetries counts experiment attempts that panicked and were
-	// retried on fresh machines (the retried runs are indistinguishable in
-	// cost accounting from panic-free ones).
-	PanicRetries int
+
+	// How the run executed. Summarize copies these into the Telemetry
+	// fields of the same names, which document them.
+	FFWall, BaseWall                time.Duration
+	WALNotes                        []string
+	WALDegraded                     bool
+	PanicRetries                    int
+	RemoteExperiments, ShardsMerged int
+	HedgedDispatches, Releases      int
 
 	ReusedInstances   int
 	InjectedInstances int

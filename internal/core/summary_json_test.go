@@ -9,44 +9,31 @@ import (
 )
 
 // fullSummary populates every field, including the omitempty degraded/
-// poisoned/resumed bookkeeping introduced by the WAL and fault-containment
-// work — the fields the ffserved API and fastflip -json must not drop.
+// poisoned/resumed bookkeeping and every Telemetry field — the fields the
+// ffserved API and fastflip -json must not drop.
 func fullSummary() *Summary {
 	return &Summary{
-		Bench:              "lud",
-		Variant:            "small",
-		Program:            "lud",
-		Epsilon:            0.125,
-		SiteCount:          4096,
-		DynInstrs:          123456,
-		Instances:          8,
-		Reused:             6,
-		Injected:           2,
-		StaticExecuted:     40,
-		StaticTotal:        44,
-		FFExperiments:      2048,
-		FFSimInstrs:        999999,
-		FFWall:             1500 * time.Millisecond,
-		FFCleanInstrs:      1111,
-		FFFaultyInstrs:     2222,
-		ElidedExperiments:  96,
-		ElidedSimInstrs:    48000,
-		BatchedExperiments: 1800,
-		BatchReplicasAvg:   112.5,
-		ResumedExperiments: 512,
-		WALNotes:           []string{"torn tail truncated (17 bytes)", "lock conflict on k3"},
-		WALDegraded:        true,
+		Bench:             "lud",
+		Variant:           "small",
+		Program:           "lud",
+		Epsilon:           0.125,
+		SiteCount:         4096,
+		DynInstrs:         123456,
+		Instances:         8,
+		Reused:            6,
+		Injected:          2,
+		StaticExecuted:    40,
+		StaticTotal:       44,
+		FFExperiments:     2048,
+		FFSimInstrs:       999999,
+		ElidedExperiments: 96,
+		ElidedSimInstrs:   48000,
 		Poisoned: []PoisonSummary{{
 			Class:     "k1+3/dst.bit7",
 			Attempts:  2,
 			MachineFP: "00000000deadbeef",
 			Stack:     "goroutine 1 [running]:\nexample",
 		}},
-		PanicRetries:       3,
-		RemoteExperiments:  1024,
-		ShardsMerged:       12,
-		HedgedDispatches:   2,
-		Releases:           5,
 		HardenedTarget:     0.95,
 		ResidualSDC:        120,
 		PredictedResidual:  150,
@@ -56,15 +43,11 @@ func fullSummary() *Summary {
 		HardenedAsm:        "func main {\n    halt\n}\n",
 		Outcomes:           OutcomeStats{Masked: 1000, Detected: 500, SDCGood: 300, SDCBad: 200, Untested: 48},
 		Baseline: &BaselineSummary{
-			Experiments:        4096,
-			SimInstrs:          5000000,
-			CleanInstrs:        4000,
-			FaultyInstrs:       5000,
-			Wall:               9 * time.Second,
-			ElidedExperiments:  128,
-			ElidedSimInstrs:    64000,
-			BatchedExperiments: 3900,
-			Speedup:            3.2,
+			Experiments:       4096,
+			SimInstrs:         5000000,
+			ElidedExperiments: 128,
+			ElidedSimInstrs:   64000,
+			Speedup:           3.2,
 		},
 		Targets: []TargetSummary{{
 			Target:       0.95,
@@ -78,6 +61,41 @@ func fullSummary() *Summary {
 			Selected:     []string{"k1+0", "k1+3"},
 			SelectedCost: 77,
 		}},
+		Telemetry: Telemetry{
+			FFWall:                 1500 * time.Millisecond,
+			FFCleanInstrs:          1111,
+			FFFaultyInstrs:         2222,
+			BatchedExperiments:     1800,
+			BatchReplicasAvg:       112.5,
+			ResumedExperiments:     512,
+			WALNotes:               []string{"torn tail truncated (17 bytes)", "lock conflict on k3"},
+			WALDegraded:            true,
+			PanicRetries:           3,
+			RemoteExperiments:      1024,
+			ShardsMerged:           12,
+			HedgedDispatches:       2,
+			Releases:               5,
+			SharedHits:             7,
+			SharedMisses:           1,
+			BaseWall:               9 * time.Second,
+			BaseCleanInstrs:        4000,
+			BaseFaultyInstrs:       5000,
+			BaseBatchedExperiments: 3900,
+		},
+	}
+}
+
+// TestFullSummarySetsEveryTelemetryField keeps the round-trip tests
+// honest: encoding/json silently drops a key that an embedded field shares
+// with an outer one, and a zero field would round-trip without proving
+// anything. A counter added to Telemetry later fails here until
+// fullSummary sets it.
+func TestFullSummarySetsEveryTelemetryField(t *testing.T) {
+	v := reflect.ValueOf(fullSummary().Telemetry)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("fullSummary leaves Telemetry.%s zero", v.Type().Field(i).Name)
+		}
 	}
 }
 
@@ -117,7 +135,8 @@ func TestSummaryOmitEmpty(t *testing.T) {
 		"hedged_dispatches", "releases",
 		"hardened_target", "residual_sdc", "predicted_residual",
 		"detector_coverage", "detector_triggers", "protection_overhead",
-		"hardened_asm",
+		"hardened_asm", "shared_hits", "shared_misses",
+		"base_wall_ns", "base_clean_instrs", "base_faulty_instrs", "base_batched_experiments",
 	} {
 		if strings.Contains(text, `"`+absent+`"`) {
 			t.Errorf("zero-value summary serializes %q: %s", absent, text)

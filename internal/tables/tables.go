@@ -50,8 +50,8 @@ type Options struct {
 	// HardenTarget, when nonzero, closes the protection loop on every
 	// benchmark's original version: the knapsack selection for this target
 	// is applied as duplication-and-compare detectors, the hardened program
-	// is re-injected, and the measured residual SDC lands in the perf
-	// records (residual_sdc, detector_coverage, protection_overhead).
+	// is re-injected, and the measured residual SDC lands in the run's
+	// summary (residual_sdc, detector_coverage, protection_overhead).
 	HardenTarget float64
 }
 
@@ -369,90 +369,21 @@ func (s *Suite) Eq2(name string) (string, error) {
 	return b.String(), nil
 }
 
-// PerfRecord is the machine-readable performance digest of one benchmark
-// version, written by `ffbench -out`. Sim-instruction figures use the
-// paper's accounted cost model; the clean/faulty pairs report the replay
-// engine's actual simulated work (see DESIGN.md, "Replay engine").
-type PerfRecord struct {
-	Bench   string `json:"bench"`
-	Variant string `json:"variant"`
-
-	SiteCount int    `json:"site_count"`
-	DynInstrs uint64 `json:"dyn_instrs"`
-	Reused    int    `json:"reused_instances"`
-	Injected  int    `json:"injected_instances"`
-
-	FFExperiments  int    `json:"ff_experiments"`
-	FFSimInstrs    uint64 `json:"ff_sim_instrs"`
-	FFCleanInstrs  uint64 `json:"ff_clean_instrs"`
-	FFFaultyInstrs uint64 `json:"ff_faulty_instrs"`
-	FFWallNs       int64  `json:"ff_wall_ns"`
-	// The elision tiers' contribution: experiments the masking tier proved
-	// Masked without simulation (and their accounted cost share), the
-	// simulated remainder, and how much of it ran inside lockstep batches.
-	FFElidedExperiments   int     `json:"ff_elided_experiments"`
-	FFElidedSimInstrs     uint64  `json:"ff_elided_sim_instrs"`
-	FFExecutedExperiments int     `json:"ff_executed_experiments"`
-	FFBatchedExperiments  int     `json:"ff_batched_experiments"`
-	FFBatchReplicasAvg    float64 `json:"ff_batch_replicas_avg"`
-	BaseExperims          int     `json:"base_experiments"`
-	BaseSimInstrs         uint64  `json:"base_sim_instrs"`
-	BaseCleanInstr        uint64  `json:"base_clean_instrs"`
-	BaseFaultyInst        uint64  `json:"base_faulty_instrs"`
-	BaseWallNs            int64   `json:"base_wall_ns"`
-	Speedup               float64 `json:"speedup"`
-
-	// The measured protection loop (Options.HardenTarget; original
-	// versions only). ResidualSDC is the hardened program's own SDC-Bad
-	// site count, PredictedResidual the bound computed before re-injection.
-	HardenTarget       float64 `json:"harden_target,omitempty"`
-	ResidualSDC        int     `json:"residual_sdc,omitempty"`
-	PredictedResidual  int     `json:"predicted_residual,omitempty"`
-	DetectorCoverage   float64 `json:"detector_coverage,omitempty"`
-	ProtectionOverhead float64 `json:"protection_overhead,omitempty"`
-}
-
-// PerfRecords digests every run of the suite for machine-readable output.
-func (s *Suite) PerfRecords() []PerfRecord {
-	recs := make([]PerfRecord, 0, len(s.Runs))
+// Summaries digests every run of the suite for `ffbench -out`: the same
+// core.Summary that `fastflip -json` and ffserved return, at ε = 0 with
+// Table 2's target evaluations and, on original versions under
+// Options.HardenTarget, the measured protection loop.
+func (s *Suite) Summaries() []*core.Summary {
+	out := make([]*core.Summary, 0, len(s.Runs))
 	for _, run := range s.Runs {
-		r := run.R
-		rec := PerfRecord{
-			Bench:                 run.Bench,
-			Variant:               string(run.Variant),
-			SiteCount:             r.SiteCount,
-			DynInstrs:             r.Trace.TotalDyn,
-			Reused:                r.ReusedInstances,
-			Injected:              r.InjectedInstances,
-			FFExperiments:         r.FFInject.Experiments,
-			FFSimInstrs:           r.FFCost(),
-			FFCleanInstrs:         r.FFInject.CleanInstrs,
-			FFFaultyInstrs:        r.FFInject.FaultyInstrs,
-			FFWallNs:              r.FFWall.Nanoseconds(),
-			FFElidedExperiments:   r.FFInject.ElidedExperiments,
-			FFElidedSimInstrs:     r.FFInject.ElidedInstrs,
-			FFExecutedExperiments: r.FFInject.Experiments - r.FFInject.ElidedExperiments,
-			FFBatchedExperiments:  r.FFInject.BatchExperiments,
-			BaseExperims:          r.BaseInject.Experiments,
-			BaseSimInstrs:         r.BaseCost(),
-			BaseCleanInstr:        r.BaseInject.CleanInstrs,
-			BaseFaultyInst:        r.BaseInject.FaultyInstrs,
-			BaseWallNs:            r.BaseWall.Nanoseconds(),
-			Speedup:               float64(r.BaseCost()) / float64(max(r.FFCost(), 1)),
+		sum := run.R.Summarize(0, run.EvalsStrict)
+		sum.Bench, sum.Variant = run.Bench, string(run.Variant)
+		if run.Harden != nil {
+			run.Harden.ApplyTo(sum)
 		}
-		if b := r.FFInject.Batches; b > 0 {
-			rec.FFBatchReplicasAvg = float64(r.FFInject.BatchExperiments) / float64(b)
-		}
-		if h := run.Harden; h != nil {
-			rec.HardenTarget = h.Target
-			rec.ResidualSDC = h.ResidualSDC
-			rec.PredictedResidual = h.PredictedResidual
-			rec.DetectorCoverage = h.DetectorCoverage
-			rec.ProtectionOverhead = h.ProtectionOverhead
-		}
-		recs = append(recs, rec)
+		out = append(out, sum)
 	}
-	return recs
+	return out
 }
 
 func (s *Suite) benchNames() []string {

@@ -1,8 +1,6 @@
 package tables
 
 import (
-	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,11 +8,13 @@ import (
 	"fastflip/internal/sens"
 )
 
-// fastSuite runs the evaluation over the two cheapest benchmarks.
-func fastSuite(t *testing.T) *Suite {
+// fastSuite runs the evaluation over the two cheapest benchmarks, closing
+// the protection loop on the originals when hardenTarget is nonzero.
+func fastSuite(t *testing.T, hardenTarget float64) *Suite {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Benchmarks = []string{"bscholes", "sha2"}
+	opts.HardenTarget = hardenTarget
 	cfg := sens.DefaultConfig()
 	cfg.Samples = 16
 	opts.Sens = cfg
@@ -29,7 +29,7 @@ func TestSuiteShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("injection campaign")
 	}
-	s := fastSuite(t)
+	s := fastSuite(t, 0.95)
 	if len(s.Runs) != 6 {
 		t.Fatalf("runs = %d, want 2 benchmarks x 3 variants", len(s.Runs))
 	}
@@ -44,13 +44,45 @@ func TestSuiteShape(t *testing.T) {
 	if s.Get("bscholes", bench.Small) == nil || s.Get("nothere", bench.None) != nil {
 		t.Error("Get lookup broken")
 	}
+
+	// The ffbench -out digest: one summary per run, with the baseline
+	// block, Table 2's targets, and harden figures on originals only.
+	sums := s.Summaries()
+	if len(sums) != len(s.Runs) {
+		t.Fatalf("%d summaries for %d runs", len(sums), len(s.Runs))
+	}
+	for i, run := range s.Runs {
+		sum := sums[i]
+		if sum.Bench != run.Bench || sum.Variant != string(run.Variant) {
+			t.Errorf("summary %d is %s/%s, run is %s/%s", i, sum.Bench, sum.Variant, run.Bench, run.Variant)
+		}
+		if sum.Baseline == nil || sum.Baseline.Experiments != run.R.BaseInject.Experiments {
+			t.Errorf("%s/%s: baseline block %+v", run.Bench, run.Variant, sum.Baseline)
+		}
+		if len(sum.Targets) != len(run.EvalsStrict) {
+			t.Fatalf("%s/%s: %d targets, want %d", run.Bench, run.Variant, len(sum.Targets), len(run.EvalsStrict))
+		}
+		for j, ev := range run.EvalsStrict {
+			if tg := sum.Targets[j]; tg.Target != ev.Target || tg.Achieved != ev.Achieved {
+				t.Errorf("%s/%s target %d: %+v, strict eval %+v", run.Bench, run.Variant, j, tg, ev)
+			}
+		}
+		if run.Variant != bench.None {
+			if run.Harden != nil || sum.HardenedTarget != 0 {
+				t.Errorf("%s/%s: modified version hardened", run.Bench, run.Variant)
+			}
+		} else if h := run.Harden; h == nil || sum.HardenedTarget != s.Opts.HardenTarget ||
+			sum.ResidualSDC != h.ResidualSDC || sum.PredictedResidual != h.PredictedResidual {
+			t.Errorf("%s/%s: harden figures in summary %+v, eval %+v", run.Bench, run.Variant, sum, h)
+		}
+	}
 }
 
 func TestTablesRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("injection campaign")
 	}
-	s := fastSuite(t)
+	s := fastSuite(t, 0)
 
 	t1 := s.Table1()
 	for _, want := range []string{"bscholes", "sha2", "4 (x2)", "3 (x1)"} {
@@ -99,84 +131,13 @@ func TestSHA2KeepsStrictEpsilon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("injection campaign")
 	}
-	s := fastSuite(t)
+	s := fastSuite(t, 0)
 	// §6.4: SHA2's relaxed-ε evaluation must be identical to the strict
 	// one because its ε stays 0.
 	run := s.Get("sha2", bench.None)
 	for i := range run.EvalsStrict {
 		if run.EvalsStrict[i].Achieved != run.EvalsGood[i].Achieved {
 			t.Errorf("sha2 eval %d differs between strict and good", i)
-		}
-	}
-}
-
-// TestPerfRecordJSONRoundTrip: the machine-readable digest must preserve
-// every field through encode/decode — in particular the protection-loop
-// additions (harden_target, residual_sdc, detector_coverage,
-// protection_overhead), which downstream perf dashboards key on.
-func TestPerfRecordJSONRoundTrip(t *testing.T) {
-	want := PerfRecord{
-		Bench:                 "lud",
-		Variant:               "small",
-		SiteCount:             4096,
-		DynInstrs:             123456,
-		Reused:                6,
-		Injected:              2,
-		FFExperiments:         2048,
-		FFSimInstrs:           999999,
-		FFCleanInstrs:         1111,
-		FFFaultyInstrs:        2222,
-		FFWallNs:              1500,
-		FFElidedExperiments:   96,
-		FFElidedSimInstrs:     48000,
-		FFExecutedExperiments: 1952,
-		FFBatchedExperiments:  1800,
-		FFBatchReplicasAvg:    112.5,
-		BaseExperims:          4096,
-		BaseSimInstrs:         5000000,
-		BaseCleanInstr:        4000,
-		BaseFaultyInst:        5000,
-		BaseWallNs:            9000,
-		Speedup:               3.2,
-		HardenTarget:          0.95,
-		ResidualSDC:           120,
-		PredictedResidual:     150,
-		DetectorCoverage:      0.93,
-		ProtectionOverhead:    0.42,
-	}
-	data, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got PerfRecord
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip changed the record:\nwant %+v\ngot  %+v", want, got)
-	}
-}
-
-// TestPerfRecordOmitEmpty: a run without the protection loop keeps the
-// hardening keys out of the wire format entirely (consumers feature-detect
-// by key presence), while the always-on cost fields stay.
-func TestPerfRecordOmitEmpty(t *testing.T) {
-	data, err := json.Marshal(PerfRecord{Bench: "fft"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(data)
-	for _, absent := range []string{
-		"harden_target", "residual_sdc", "predicted_residual",
-		"detector_coverage", "protection_overhead",
-	} {
-		if strings.Contains(text, `"`+absent+`"`) {
-			t.Errorf("zero-value record serializes %q: %s", absent, text)
-		}
-	}
-	for _, present := range []string{"bench", "ff_experiments", "speedup"} {
-		if !strings.Contains(text, `"`+present+`"`) {
-			t.Errorf("record missing always-on key %q: %s", present, text)
 		}
 	}
 }
