@@ -1,6 +1,8 @@
 package diffcheck
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fastflip/internal/chisel"
@@ -103,6 +105,29 @@ func TestMaskHeavySeedElides(t *testing.T) {
 	}
 	if v := CheckEngines(g); v != nil {
 		t.Fatal(v)
+	}
+}
+
+// TestEnginesReportRetriedPanic panics one experiment of the batch engine
+// once. The supervisor retries it on the scalar path, so every outcome
+// still matches the other engines; the engines invariant must fail on the
+// retry counter alone.
+func TestEnginesReportRetriedPanic(t *testing.T) {
+	engines := append([]engineConfig(nil), engineConfigs...)
+	engines[0].mut = func(c *core.Config) {
+		var fired atomic.Bool
+		c.ExperimentPanicHook = func(class, attempt int) {
+			if attempt == 1 && fired.CompareAndSwap(false, true) {
+				panic("test-injected transient panic")
+			}
+		}
+	}
+	v := checkEngines(Generate(44, FamilyMixed), engines)
+	if v == nil {
+		t.Fatal("engines invariant passed over a retried panic")
+	}
+	if v.Invariant != InvEngines || !strings.Contains(v.Detail, "panic_retries=1") {
+		t.Fatalf("want an engines violation naming panic_retries=1, got %v", v)
 	}
 }
 
