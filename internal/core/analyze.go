@@ -534,9 +534,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 	r.UntestedSites = count
 	per := sites.SitesPerOperand(a.Cfg.BurstWidth)
 	for _, d := range dyns {
-		in := t.Prog.Linked.Code[t.PCs[d]]
-		n := len(in.Operands(nil)) * per
-		r.untestedBad[t.StaticIDOfDyn(d)] += n
+		r.untestedBad[t.StaticIDOfDyn(d)] += t.Prog.Linked.Code[t.PCs[d]].NumOperands() * per
 	}
 
 	if r.Spec, err = chisel.Compose(t, r.Amps); err != nil {
@@ -614,17 +612,20 @@ func (a *Analyzer) NoteModification() {
 // default prices instruction duplication: cost = dynamic instances. An
 // external model maps (instruction, dynamic count) to a custom cost.
 func costModel(t *trace.Trace, custom func(prog.StaticID, int) int) (map[prog.StaticID]int, int) {
-	counts := make(map[prog.StaticID]int)
-	for d := t.ROIBeg + 1; d < t.ROIEnd; d++ {
-		in := t.Prog.Linked.Code[t.PCs[d]]
-		if len(in.Operands(nil)) == 0 {
-			continue
-		}
-		counts[t.StaticIDOfDyn(d)]++
+	// Count by pc and name each executed pc once; distinct pcs have
+	// distinct StaticIDs, so no two counts land on one key.
+	code := t.Prog.Linked.Code
+	counts := make([]int, len(code))
+	for _, pc := range t.PCs[t.ROIBeg+1 : t.ROIEnd] {
+		counts[pc]++
 	}
 	total := 0
-	costs := make(map[prog.StaticID]int, len(counts))
-	for id, n := range counts {
+	costs := make(map[prog.StaticID]int)
+	for pc, n := range counts {
+		if n == 0 || code[pc].NumOperands() == 0 {
+			continue
+		}
+		id := t.Prog.Linked.StaticIDOf(pc)
 		c := n
 		if custom != nil {
 			c = custom(id, n)

@@ -2,12 +2,16 @@ package core_test
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"fastflip/internal/bench"
 	"fastflip/internal/core"
+	"fastflip/internal/prog"
 	"fastflip/internal/store"
 	"fastflip/internal/testprog"
+	"fastflip/internal/trace"
 )
 
 func fixtureConfig() core.Config {
@@ -229,6 +233,43 @@ func TestBadCountsConsistency(t *testing.T) {
 		if _, ok := r.Costs[id]; !ok {
 			t.Errorf("bad static %v missing from the cost model", id)
 		}
+	}
+}
+
+// The default cost of a static instruction is its number of dynamic
+// instances in the region of interest; instructions without register
+// operands are not priced. LUD's loops give most instructions many.
+func TestCostModelCountsDynamicInstances(t *testing.T) {
+	tr, err := trace.Record(bench.MustBuild("lud", bench.None))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[prog.StaticID]int{}
+	total := 0
+	for d := tr.ROIBeg + 1; d < tr.ROIEnd; d++ {
+		if tr.Prog.Linked.Code[tr.PCs[d]].NumOperands() > 0 {
+			want[tr.StaticIDOfDyn(d)]++
+			total++
+		}
+	}
+	costs, got := core.CostModel(tr, nil)
+	if got != total || !reflect.DeepEqual(costs, want) {
+		t.Errorf("cost model: total %d over %d instructions, want %d over %d", got, len(costs), total, len(want))
+	}
+	halve := func(_ prog.StaticID, n int) int { return n / 2 }
+	halved, got := core.CostModel(tr, halve)
+	for id, n := range want {
+		want[id] = n / 2
+	}
+	if !reflect.DeepEqual(halved, want) {
+		t.Errorf("custom cost model disagrees with halving every count")
+	}
+	sum := 0
+	for _, c := range halved {
+		sum += c
+	}
+	if got != sum {
+		t.Errorf("custom total %d, want %d", got, sum)
 	}
 }
 

@@ -15,3 +15,6 @@ func (r *Result) BaselineClasses() ([]*sites.Class, []metrics.Outcome) {
 	}
 	return classes, outs
 }
+
+// CostModel exposes the protection cost model to external tests.
+var CostModel = costModel

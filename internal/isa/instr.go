@@ -69,6 +69,19 @@ func (in Instr) Operands(dst []Operand) []Operand {
 	return dst
 }
 
+// NumOperands returns len(in.Operands(nil)) without building the slice:
+// the number of injectable register operands of in.
+func (in Instr) NumOperands() int {
+	info := row(in.Op)
+	n := 0
+	for _, c := range [...]RegClass{info.SrcA, info.SrcB, info.Dst} {
+		if c != RegNone {
+			n++
+		}
+	}
+	return n
+}
+
 // String renders the instruction in assembler syntax, e.g.
 // "fadd f1, f2, f3" or "ld r4, r2, 16". Branch targets print as raw
 // immediates; the disassembler in internal/asm prints symbolic labels.

@@ -149,6 +149,15 @@ func TestOperandClasses(t *testing.T) {
 	}
 }
 
+func TestNumOperandsMatchesOperands(t *testing.T) {
+	for op := Op(0); op < numOps; op++ {
+		in := Instr{Op: op}
+		if got, want := in.NumOperands(), len(in.Operands(nil)); got != want {
+			t.Errorf("%v: NumOperands = %d, want %d", op, got, want)
+		}
+	}
+}
+
 func TestOperandsAppends(t *testing.T) {
 	buf := make([]Operand, 0, 8)
 	buf = Instr{Op: ADD}.Operands(buf)

@@ -5,8 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"fastflip/internal/core"
 )
 
 // waitWALBytes polls until the campaign directory under walDir holds more
@@ -91,8 +94,21 @@ func TestBenchStoreCacheEviction(t *testing.T) {
 	opts.Workers = 2
 	opts.MaxCachedBenches = 1
 	opts.ListBenchmarks = func() []string { return []string{"pipe", "slowish"} }
+	// The second job (v2) must still be running when v3 completes. Its
+	// store is warm, so rather than rely on its run time, hold it in
+	// analyzer setup until the test releases it.
+	var setups atomic.Int32
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	opts.ConfigHook = func(*core.Config) {
+		if setups.Add(1) == 2 {
+			<-release
+		}
+	}
 	m := New(opts)
 	defer closeManager(t, m)
+	defer unblock()
 
 	cached := func(name string) bool {
 		for _, b := range m.Benchmarks() {
@@ -132,6 +148,7 @@ func TestBenchStoreCacheEviction(t *testing.T) {
 	if got := m.Metrics().StoreBenches; got > 2 {
 		t.Errorf("store cache holds %d benchmarks, cap is 1 (+1 pinned)", got)
 	}
+	unblock()
 	waitDone(t, m, v2.ID)
 
 	// With the pin gone, completing pipe again evicts slowish (LRU).

@@ -19,7 +19,9 @@
 package sites
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"fastflip/internal/isa"
 	"fastflip/internal/prog"
@@ -65,11 +67,15 @@ type ClassKey struct {
 // Class is one equivalence class: all dynamic occurrences of a static
 // instruction's operand bit within the enumerated range.
 type Class struct {
-	Key     ClassKey
-	Class   isa.RegClass // register file of the operand
-	Reg     uint8        // architectural register number
-	Width   uint8        // burst width of the class's sites
-	Members []uint64     // dynamic indices, ascending
+	Key   ClassKey
+	Class isa.RegClass // register file of the operand
+	Reg   uint8        // architectural register number
+	Width uint8        // burst width of the class's sites
+	// Members lists the class's dynamic indices, ascending. The slice is
+	// read-only: it views one array shared by every class of the same
+	// static instruction, with its capacity clipped to its length so that
+	// an append copies instead of overwriting a sibling's members.
+	Members []uint64
 	// Elided marks a class whose burst the static masking analysis proved
 	// dead at its instruction: the flipped bits are never observed by any
 	// subsequent instruction, so every member site is architecturally
@@ -136,66 +142,132 @@ func Count(t *trace.Trace, opts Options) int {
 // CountRange returns the number of error sites with dynamic index in
 // [lo, hi).
 func CountRange(t *trace.Trace, lo, hi uint64, opts Options) int {
-	total := 0
-	per := SitesPerOperand(opts.width())
-	var ops []isa.Operand
-	for d := lo; d < hi; d++ {
-		in := t.Prog.Linked.Code[t.PCs[d]]
-		ops = in.Operands(ops[:0])
-		total += len(ops) * per
+	if lo >= hi {
+		return 0
 	}
-	return total
+	code := t.Prog.Linked.Code
+	ops := 0
+	for _, pc := range t.PCs[lo:hi] {
+		ops += code[pc].NumOperands()
+	}
+	return ops * SitesPerOperand(opts.width())
+}
+
+// pcRun is one static instruction with register operands that executes in
+// the enumerated range, with its dynamic occurrences there.
+type pcRun struct {
+	pc      int
+	static  prog.StaticID
+	members []uint64 // ascending; shared by every class of the pc
 }
 
 // classify groups the sites of dynamic range [lo, hi) into equivalence
-// classes. Without pruning every site becomes a singleton class (used by
-// the pruning ablation).
+// classes ordered by (Static.Func, Static.Local, Role, Bit). Without
+// pruning every site becomes a singleton class, and singletons of one key
+// follow in member order (used by the pruning ablation).
+//
+// prog.Program rejects duplicate function names, so a pc and its StaticID
+// determine each other and a class key is just (pc, role, bit). One
+// counting sort over the range's pcs therefore yields every class's
+// members: each pc's occurrences form one ascending run of a single member
+// array, which all classes of that pc share.
 func classify(t *trace.Trace, lo, hi uint64, opts Options) []*Class {
+	if lo >= hi {
+		return nil
+	}
+	code := t.Prog.Linked.Code
+	pcs := t.PCs[lo:hi]
+	base, top := pcs[0], pcs[0]
+	for _, pc := range pcs {
+		base, top = min(base, pc), max(top, pc)
+	}
+
+	// next[pc-base] counts the pc's occurrences, then becomes the write
+	// cursor of its run in members; -1 marks a pc with no sites.
+	next := make([]int, top-base+1)
+	for _, pc := range pcs {
+		next[pc-base]++
+	}
+	distinct, total := 0, 0
+	for i, n := range next {
+		if n == 0 || code[int(base)+i].NumOperands() == 0 {
+			next[i] = -1
+			continue
+		}
+		distinct++
+		total += n
+	}
+	if distinct == 0 {
+		return nil
+	}
+	members := make([]uint64, total)
+	runs := make([]pcRun, 0, distinct)
+	at := 0
+	for i, n := range next {
+		if n < 0 {
+			continue
+		}
+		runs = append(runs, pcRun{pc: int(base) + i, members: members[at : at+n : at+n]})
+		next[i] = at
+		at += n
+	}
+	for j, pc := range pcs {
+		if k := next[pc-base]; k >= 0 {
+			members[k] = lo + uint64(j)
+			next[pc-base] = k + 1
+		}
+	}
+
+	// Static identity costs a binary search over function bounds, so it is
+	// resolved once per distinct pc, and only the distinct pcs are sorted.
+	for i := range runs {
+		runs[i].static = t.Prog.Linked.StaticIDOf(runs[i].pc)
+	}
+	slices.SortFunc(runs, func(a, b pcRun) int {
+		return cmp.Or(strings.Compare(a.static.Func, b.static.Func), cmp.Compare(a.static.Local, b.static.Local))
+	})
+
 	prune := opts.Prune
 	width := opts.width()
 	per := SitesPerOperand(width)
-	byKey := make(map[ClassKey]*Class)
-	var classes []*Class
-	var ops []isa.Operand
-	// Static identity is a function of the pc alone; resolving it does a
-	// binary search over function bounds, so cache it per pc instead of
-	// recomputing per dynamic instruction.
-	statics := make([]prog.StaticID, len(t.Prog.Linked.Code))
-	haveStatic := make([]bool, len(statics))
-	for d := lo; d < hi; d++ {
-		pc := int(t.PCs[d])
-		in := t.Prog.Linked.Code[pc]
-		ops = in.Operands(ops[:0])
-		if len(ops) == 0 {
-			continue
+	n := 0
+	for _, r := range runs {
+		k := code[r.pc].NumOperands() * per
+		if !prune {
+			k *= len(r.members)
 		}
-		if !haveStatic[pc] {
-			statics[pc] = t.Prog.Linked.StaticIDOf(pc)
-			haveStatic[pc] = true
-		}
-		static := statics[pc]
+		n += k
+	}
+	slab := make([]Class, n)
+	classes := make([]*Class, n)
+	i := 0
+	emit := func(c Class) {
+		slab[i] = c
+		classes[i] = &slab[i]
+		i++
+	}
+	var buf [3]isa.Operand
+	for _, r := range runs {
+		ops := code[r.pc].Operands(buf[:0])
+		slices.SortFunc(ops, func(a, b isa.Operand) int { return cmp.Compare(a.Role, b.Role) })
 		for _, op := range ops {
 			for bit := 0; bit < per; bit++ {
-				key := ClassKey{Static: static, Role: op.Role, Bit: uint8(bit)}
-				if !prune {
-					classes = append(classes, &Class{
-						Key: key, Class: op.Class, Reg: op.Reg, Width: uint8(width), Members: []uint64{d},
-						Elided: opts.Masks != nil && opts.Masks.SiteElidable(pc, op, uint8(bit), uint8(width)),
-					})
+				c := Class{
+					Key:   ClassKey{Static: r.static, Role: op.Role, Bit: uint8(bit)},
+					Class: op.Class, Reg: op.Reg, Width: uint8(width), Members: r.members,
+					Elided: opts.Masks != nil && opts.Masks.SiteElidable(r.pc, op, uint8(bit), uint8(width)),
+				}
+				if prune {
+					emit(c)
 					continue
 				}
-				c := byKey[key]
-				if c == nil {
-					c = &Class{Key: key, Class: op.Class, Reg: op.Reg, Width: uint8(width)}
-					c.Elided = opts.Masks != nil && opts.Masks.SiteElidable(pc, op, uint8(bit), uint8(width))
-					byKey[key] = c
-					classes = append(classes, c)
+				for j := range r.members {
+					c.Members = r.members[j : j+1 : j+1]
+					emit(c)
 				}
-				c.Members = append(c.Members, d)
 			}
 		}
 	}
-	sortClasses(classes)
 	return classes
 }
 
@@ -217,38 +289,16 @@ func ForInstance(t *trace.Trace, inst *trace.Instance, opts Options) []*Class {
 // (§4.9's s⊥ section).
 func Untested(t *trace.Trace, opts Options) (dyns []uint64, siteCount int) {
 	per := SitesPerOperand(opts.width())
-	var ops []isa.Operand
 	for d := t.ROIBeg + 1; d < t.ROIEnd; d++ {
 		if t.InstanceAt(d) != nil {
 			continue
 		}
-		in := t.Prog.Linked.Code[t.PCs[d]]
-		ops = in.Operands(ops[:0])
-		if len(ops) == 0 {
+		n := t.Prog.Linked.Code[t.PCs[d]].NumOperands()
+		if n == 0 {
 			continue
 		}
 		dyns = append(dyns, d)
-		siteCount += len(ops) * per
+		siteCount += n * per
 	}
 	return dyns, siteCount
-}
-
-func sortClasses(classes []*Class) {
-	sort.Slice(classes, func(i, j int) bool {
-		a, b := classes[i].Key, classes[j].Key
-		if a.Static.Func != b.Static.Func {
-			return a.Static.Func < b.Static.Func
-		}
-		if a.Static.Local != b.Static.Local {
-			return a.Static.Local < b.Static.Local
-		}
-		if a.Role != b.Role {
-			return a.Role < b.Role
-		}
-		if a.Bit != b.Bit {
-			return a.Bit < b.Bit
-		}
-		// Singleton classes (pruning disabled) tie-break on the member.
-		return classes[i].Members[0] < classes[j].Members[0]
-	})
 }

@@ -3,6 +3,8 @@ package sites
 import (
 	"testing"
 
+	"fastflip/internal/bench"
+	"fastflip/internal/maskelide"
 	"fastflip/internal/testprog"
 	"fastflip/internal/trace"
 )
@@ -143,17 +145,45 @@ func TestMarkersHaveNoSites(t *testing.T) {
 	}
 }
 
+// BenchmarkClassify measures classification on the fixture's whole ROI,
+// pruned and unpruned, and on every benchmark's section instances the way
+// an analysis enumerates them (pruned, with mask elision).
 func BenchmarkClassify(b *testing.B) {
-	tr, err := trace.Record(testprog.Pipeline())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		classes := Global(tr, Options{Prune: true})
-		if len(classes) == 0 {
-			b.Fatal("no classes")
+	run := func(b *testing.B, classify func() int) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if classify() == 0 {
+				b.Fatal("no classes")
+			}
 		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{{"pipeline", Options{Prune: true}}, {"pipeline-unpruned", Options{}}} {
+		b.Run(tc.name, func(b *testing.B) {
+			tr, err := trace.Record(testprog.Pipeline())
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(b, func() int { return len(Global(tr, tc.opts)) })
+		})
+	}
+	for _, name := range bench.Names() {
+		b.Run(name, func(b *testing.B) {
+			tr, err := trace.Record(bench.MustBuild(name, bench.None))
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := Options{Prune: true, Masks: maskelide.Analyze(tr.Prog.Linked)}
+			run(b, func() int {
+				n := 0
+				for _, inst := range tr.Instances {
+					n += len(ForInstance(tr, inst, opts))
+				}
+				return n
+			})
+		})
 	}
 }

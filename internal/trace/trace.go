@@ -298,17 +298,6 @@ func (t *Trace) StaticIDOfDyn(d uint64) prog.StaticID {
 	return t.Prog.Linked.StaticIDOf(int(t.PCs[d]))
 }
 
-// DynCounts returns, for every static instruction that executes in the ROI,
-// the number of its dynamic instances. This is the protection cost model
-// c(pc) of §5.3.
-func (t *Trace) DynCounts() map[prog.StaticID]int {
-	counts := make(map[prog.StaticID]int)
-	for d := t.ROIBeg + 1; d < t.ROIEnd; d++ {
-		counts[t.StaticIDOfDyn(d)]++
-	}
-	return counts
-}
-
 // Coverage reports how many of the program's static instructions of
 // interest (those with at least one register operand) execute within the
 // region of interest. The paper's inputs are minimized by Minotaur under
@@ -320,7 +309,7 @@ func (t *Trace) Coverage() (executed, total int) {
 		seen[t.PCs[d]] = true
 	}
 	for pc, in := range t.Prog.Linked.Code {
-		if len(in.Operands(nil)) == 0 {
+		if in.NumOperands() == 0 {
 			continue
 		}
 		total++

@@ -214,22 +214,6 @@ func TestCostAnchorIgnoresDenseCheckpoints(t *testing.T) {
 	}
 }
 
-func TestDynCounts(t *testing.T) {
-	tr := record(t)
-	counts := tr.DynCounts()
-	total := 0
-	for id, n := range counts {
-		if n <= 0 {
-			t.Errorf("count %d for %v", n, id)
-		}
-		total += n
-	}
-	// Each instruction of interest in the ROI executes exactly once here.
-	if total == 0 || uint64(total) >= tr.TotalDyn {
-		t.Errorf("total counted = %d of %d", total, tr.TotalDyn)
-	}
-}
-
 func TestCodeKeyChangesWithBody(t *testing.T) {
 	tr1 := record(t)
 	tr2, err := Record(testprog.PipelineModified())
