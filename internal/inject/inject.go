@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -208,13 +209,13 @@ func (inj *Injector) Section(m *vm.Machine, inst *trace.Instance, site sites.Sit
 	if err := inj.prepare(m, site, sectionLimit(inst)); err != nil {
 		panic(err)
 	}
-	out := inj.sectionFinish(m, inst)
+	out := inj.sectionFinish(m, inst, liveSpans(inst))
 	return out, m.Dyn - inj.T.NearestCheckpointDyn(site.Dyn)
 }
 
 // sectionFinish resumes a prepared machine until the injected instance ends
-// and classifies the section-level outcome.
-func (inj *Injector) sectionFinish(m *vm.Machine, inst *trace.Instance) metrics.Outcome {
+// and classifies the section-level outcome; live is liveSpans(inst).
+func (inj *Injector) sectionFinish(m *vm.Machine, inst *trace.Instance, live []span) metrics.Outcome {
 	for {
 		ev := m.Step()
 		switch ev.Kind {
@@ -226,7 +227,7 @@ func (inj *Injector) sectionFinish(m *vm.Machine, inst *trace.Instance) metrics.
 				return conservativeSDC(len(inst.IO.Outputs))
 			}
 			out := metrics.Compare(inst.IO.Outputs, inst.Exit, m)
-			if out.Kind != metrics.Detected && liveSideEffect(inst, m) {
+			if out.Kind != metrics.Detected && liveSideEffect(live, inst, m) {
 				return conservativeSDC(len(inst.IO.Outputs))
 			}
 			return out
@@ -252,13 +253,14 @@ func (inj *Injector) SectionCoRun(m *vm.Machine, inst *trace.Instance, site site
 	if err := inj.prepare(m, site, sectionLimit(inst)); err != nil {
 		panic(err)
 	}
-	sec, fin = inj.coRunFinish(m, inst)
+	sec, fin = inj.coRunFinish(m, inst, liveSpans(inst))
 	return sec, fin, m.Dyn - inj.T.NearestCheckpointDyn(site.Dyn)
 }
 
 // coRunFinish resumes a prepared machine through the injected instance and
-// on to program termination, classifying both levels.
-func (inj *Injector) coRunFinish(m *vm.Machine, inst *trace.Instance) (sec, fin metrics.Outcome) {
+// on to program termination, classifying both levels; live is
+// liveSpans(inst).
+func (inj *Injector) coRunFinish(m *vm.Machine, inst *trace.Instance, live []span) (sec, fin metrics.Outcome) {
 	t := inj.T
 	secDone := false
 	for {
@@ -272,7 +274,7 @@ func (inj *Injector) coRunFinish(m *vm.Machine, inst *trace.Instance) (sec, fin 
 				sec = conservativeSDC(len(inst.IO.Outputs))
 			} else {
 				sec = metrics.Compare(inst.IO.Outputs, inst.Exit, m)
-				if sec.Kind != metrics.Detected && liveSideEffect(inst, m) {
+				if sec.Kind != metrics.Detected && liveSideEffect(live, inst, m) {
 					sec = conservativeSDC(len(inst.IO.Outputs))
 				}
 			}
@@ -323,10 +325,11 @@ func (inj *Injector) RunSectionCoRunResume(ctx context.Context, inst *trace.Inst
 			rec(i, out, &fins[i], cost)
 		}
 	}
+	live := liveSpans(inst)
 	secs, stats = inj.runAll(ctx, classes, experiment{
 		limit: func(sites.Site) uint64 { return sectionLimit(inst) },
 		finish: func(m *vm.Machine, i int, _ sites.Site) metrics.Outcome {
-			sec, fin := inj.coRunFinish(m, inst)
+			sec, fin := inj.coRunFinish(m, inst, live)
 			fins[i] = fin
 			return sec
 		},
@@ -354,21 +357,48 @@ func conservativeSDC(outputs int) metrics.Outcome {
 	return metrics.Outcome{Kind: metrics.SDC, Magnitudes: mags}
 }
 
-// liveSideEffect reports whether any live-declared word outside the
-// instance's declared outputs differs from the clean exit state.
-func liveSideEffect(inst *trace.Instance, m *vm.Machine) bool {
+// span is the half-open word range [lo, hi).
+type span struct{ lo, hi int }
+
+// liveSpans returns the live-declared words of inst that lie outside its
+// declared outputs, as ranges. A campaign computes it once and checks
+// every experiment against it with liveSideEffect.
+func liveSpans(inst *trace.Instance) []span {
+	var spans []span
 	for _, lb := range inst.IO.Live {
-	word:
-		for i := 0; i < lb.Len; i++ {
-			addr := lb.Addr + i
+		lo, hi := lb.Addr, lb.Addr+lb.Len
+		for lo < hi {
+			// Skip past an output covering lo; otherwise the words up to
+			// the nearest output starting after lo are all uncovered.
+			end, covered := hi, false
 			for _, ob := range inst.IO.Outputs {
-				if addr >= ob.Addr && addr < ob.Addr+ob.Len {
-					continue word
+				olo, ohi := ob.Addr, ob.Addr+ob.Len
+				switch {
+				case olo >= ohi: // an empty output covers nothing
+				case olo <= lo && lo < ohi:
+					lo, covered = ohi, true
+				case lo < olo && olo < end:
+					end = olo
+				}
+				if covered {
+					break
 				}
 			}
-			if m.Mem[addr] != inst.Exit.Mem[addr] {
-				return true
+			if !covered {
+				spans = append(spans, span{lo, end})
+				lo = end
 			}
+		}
+	}
+	return spans
+}
+
+// liveSideEffect reports whether any word of the live spans (liveSpans of
+// inst) differs from the instance's clean exit state.
+func liveSideEffect(live []span, inst *trace.Instance, m *vm.Machine) bool {
+	for _, s := range live {
+		if !slices.Equal(m.Mem[s.lo:s.hi], inst.Exit.Mem[s.lo:s.hi]) {
+			return true
 		}
 	}
 	return false
@@ -398,9 +428,10 @@ func (inj *Injector) RunSection(ctx context.Context, inst *trace.Instance, class
 // RunSectionResume is RunSection with resume hooks; see
 // RunSectionCoRunResume for their semantics.
 func (inj *Injector) RunSectionResume(ctx context.Context, inst *trace.Instance, classes []*sites.Class, hooks CampaignHooks) ([]metrics.Outcome, Stats) {
+	live := liveSpans(inst)
 	return inj.runAll(ctx, classes, experiment{
 		limit:    func(sites.Site) uint64 { return sectionLimit(inst) },
-		finish:   func(m *vm.Machine, _ int, _ sites.Site) metrics.Outcome { return inj.sectionFinish(m, inst) },
+		finish:   func(m *vm.Machine, _ int, _ sites.Site) metrics.Outcome { return inj.sectionFinish(m, inst, live) },
 		conserv:  func(int) metrics.Outcome { return conservativeSDC(len(inst.IO.Outputs)) },
 		masked:   func(int) metrics.Outcome { return metrics.Outcome{Kind: metrics.Masked} },
 		cleanEnd: inst.Exit.Dyn,
@@ -661,8 +692,9 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 	var stats Stats
 
 	seed, _ := t.ReplaySeed(classes[chunk[0]].Pilot())
-	cur := seed.Clone() // rolling clean cursor, only ever advances
-	em := cur.Clone()   // experiment machine, forked from the cursor
+	cur := seed.Clone()    // rolling clean cursor, only ever advances
+	em := cur.Clone()      // experiment machine, forked from the cursor
+	batch := new(vm.Batch) // lockstep replicas, re-forked off em per group
 
 	// runScalar runs one experiment on a scalar fork of the cursor,
 	// including supervision, retry, and record delivery.
@@ -766,9 +798,9 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 	// Each replica is accounted and recorded as it materializes, with a
 	// cancellation check in between, so the campaign keeps the scalar
 	// engine's per-experiment delivery granularity. A panic anywhere
-	// inside rebuilds the machines and re-runs only the not-yet-delivered
-	// members under the scalar path's per-class supervision, so the WAL
-	// sees each member exactly once.
+	// inside rebuilds the machines and the batch, then re-runs only the
+	// not-yet-delivered members under the scalar path's per-class
+	// supervision, so the WAL sees each member exactly once.
 	runBatch := func(group []int) {
 		pilotDyn := classes[group[0]].Pilot()
 		var cleanShare uint64
@@ -796,7 +828,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 			// for source-flipped ones — and the destination flips land
 			// after it, the same order applyFlip imposes.
 			em.MaxDyn = exp.limit(classes[group[0]].PilotSite())
-			b := vm.NewBatch(em, len(group))
+			b := batch.Reset(em, len(group))
 			hasDst := false
 			for j, i := range group {
 				site := classes[i].PilotSite()
@@ -860,6 +892,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 		seed, _ := t.ReplaySeed(pilotDyn)
 		cur = seed.Clone()
 		em = cur.Clone()
+		batch = new(vm.Batch)
 		inj.notePanicRetry()
 		for _, i := range group[delivered:] {
 			if ctx.Err() != nil {

@@ -4,9 +4,10 @@
 // replicas fork from the same positioned machine, so while their control
 // flow agrees they share one PC, one dynamic counter, and one call stack;
 // only the register files differ (structure-of-arrays, one slice per
-// architectural register) plus a per-replica memory write-delta over the
-// shared read-only base memory. Each opcode is fetched and decoded once
-// per batch and applied to every active replica, amortizing dispatch.
+// architectural register) and the memory words some replica has written
+// (one column of K values per such word, over the shared read-only base
+// memory). Each opcode is fetched and decoded once per batch and applied
+// to every active replica, amortizing dispatch.
 //
 // A replica leaves the lockstep set when its execution stops matching the
 // group's: a private crash (division by zero, out-of-bounds access from a
@@ -23,16 +24,27 @@ package vm
 
 import "fastflip/internal/isa"
 
-// Batch is K replicas advancing in lockstep from a shared fork point.
+// Batch is K replicas advancing in lockstep from a shared fork point. A
+// Batch is reusable: Reset re-forks it, recycling every buffer.
 type Batch struct {
 	code []isa.Instr
 	base *Machine // fork-point machine; its memory is the shared base, never written
 
-	n int
-	r [isa.NumRegs][]uint64 // r[reg][replica]
-	f [isa.NumRegs][]uint64
-	// delta[k] holds replica k's memory writes, overlaying base.Mem.
-	delta []map[uint64]uint64
+	n       int
+	r       [isa.NumRegs][]uint64 // r[reg][replica]
+	f       [isa.NumRegs][]uint64
+	regBack []uint64 // backing store of r and f
+
+	// Memory is laid out like the register files: mem[addr] is nil until
+	// some replica stores to word addr, then a column of n values seeded
+	// from base.Mem[addr], so a replica that never wrote the word still
+	// reads the base value through it. touched lists the addresses that
+	// have a column; columns are carved from chunks kept across Resets.
+	mem     [][]uint64
+	touched []uint64
+	chunks  [][]uint64
+	chunk   int // chunks[chunk] is the one being carved
+	used    int // words of chunks[chunk] already handed out
 
 	// Shared state of the lockstep set.
 	active []int
@@ -52,41 +64,61 @@ type Batch struct {
 	steps uint64 // lockstep dispatches executed
 }
 
+// colChunk is the size in words of one column-storage chunk.
+const colChunk = 4096
+
 // NewBatch forks n replicas off the positioned machine base. The base must
-// be Running; it is not mutated (reads go through it, writes go to
-// per-replica deltas).
-func NewBatch(base *Machine, n int) *Batch {
-	b := &Batch{
-		code:     base.Code,
-		base:     base,
-		n:        n,
-		delta:    make([]map[uint64]uint64, n),
-		active:   make([]int, n),
-		pc:       base.PC,
-		dyn:      base.Dyn,
-		maxDyn:   base.MaxDyn,
-		stack:    append([]int(nil), base.Stack...),
-		detached: make([]bool, n),
-		status:   make([]Status, n),
-		crashk:   make([]CrashKind, n),
-		pcs:      make([]int, n),
-		dyns:     make([]uint64, n),
-		stacks:   make([][]int, n),
-	}
-	rBack := make([]uint64, isa.NumRegs*n)
-	fBack := make([]uint64, isa.NumRegs*n)
+// be Running; it is not mutated (reads go through it, writes go to the
+// replica memory columns).
+func NewBatch(base *Machine, n int) *Batch { return new(Batch).Reset(base, n) }
+
+// Reset re-forks b as n replicas off base, exactly as NewBatch would, but
+// reusing b's buffers. It returns b.
+func (b *Batch) Reset(base *Machine, n int) *Batch {
+	b.code, b.base, b.n = base.Code, base, n
+
+	b.regBack = grow(b.regBack, 2*isa.NumRegs*n)
 	for reg := 0; reg < isa.NumRegs; reg++ {
-		b.r[reg] = rBack[reg*n : (reg+1)*n]
-		b.f[reg] = fBack[reg*n : (reg+1)*n]
+		b.r[reg] = b.regBack[2*reg*n : (2*reg+1)*n]
+		b.f[reg] = b.regBack[(2*reg+1)*n : (2*reg+2)*n]
 		for k := 0; k < n; k++ {
 			b.r[reg][k] = base.R[reg]
 			b.f[reg][k] = base.F[reg]
 		}
 	}
+
+	for _, addr := range b.touched {
+		b.mem[addr] = nil
+	}
+	b.touched = b.touched[:0]
+	b.mem = grow(b.mem, len(base.Mem))
+	b.chunk, b.used = 0, 0
+
+	b.active = grow(b.active, n)
 	for k := range b.active {
 		b.active[k] = k
 	}
+	b.pc, b.dyn, b.maxDyn = base.PC, base.Dyn, base.MaxDyn
+	b.stack = append(b.stack[:0], base.Stack...)
+
+	b.detached = grow(b.detached, n)
+	clear(b.detached)
+	b.status = grow(b.status, n)
+	b.crashk = grow(b.crashk, n)
+	b.pcs = grow(b.pcs, n)
+	b.dyns = grow(b.dyns, n)
+	b.stacks = grow(b.stacks, n)
+	b.steps = 0
 	return b
+}
+
+// grow returns s resized to length n, keeping its backing array (and so
+// the elements up to its capacity) when it is large enough.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // Replicas returns the batch width K.
@@ -107,22 +139,40 @@ func (b *Batch) FlipFloat(k, reg int, bit uint) { b.f[reg][k] ^= 1 << bit }
 
 // load reads replica k's view of memory word addr.
 func (b *Batch) load(k int, addr uint64) uint64 {
-	if d := b.delta[k]; d != nil {
-		if v, ok := d[addr]; ok {
-			return v
-		}
+	if col := b.mem[addr]; col != nil {
+		return col[k]
 	}
 	return b.base.Mem[addr]
 }
 
-// store writes v to replica k's memory overlay.
+// store writes v to replica k's view of memory word addr.
 func (b *Batch) store(k int, addr, v uint64) {
-	d := b.delta[k]
-	if d == nil {
-		d = make(map[uint64]uint64, 8)
-		b.delta[k] = d
+	col := b.mem[addr]
+	if col == nil {
+		col = b.column(addr)
 	}
-	d[addr] = v
+	col[k] = v
+}
+
+// column gives word addr its replica column, every entry holding the base
+// value, carved from the current chunk.
+func (b *Batch) column(addr uint64) []uint64 {
+	for b.chunk < len(b.chunks) && b.used+b.n > len(b.chunks[b.chunk]) {
+		b.chunk++
+		b.used = 0
+	}
+	if b.chunk == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]uint64, max(colChunk, b.n)))
+	}
+	col := b.chunks[b.chunk][b.used : b.used+b.n : b.used+b.n]
+	b.used += b.n
+	v := b.base.Mem[addr]
+	for k := range col {
+		col[k] = v
+	}
+	b.mem[addr] = col
+	b.touched = append(b.touched, addr)
+	return col
 }
 
 // detach freezes replica k out of the lockstep set at the given pc with
@@ -133,7 +183,7 @@ func (b *Batch) detach(k, pc int, st Status, ck CrashKind) {
 	b.crashk[k] = ck
 	b.pcs[k] = pc
 	b.dyns[k] = b.dyn
-	b.stacks[k] = append([]int(nil), b.stack...)
+	b.stacks[k] = append(b.stacks[k][:0], b.stack...)
 }
 
 // regs returns the per-replica column of register r of class c. An absent
@@ -245,9 +295,9 @@ func (b *Batch) kernel(s *isa.OpInfo, in isa.Instr) {
 	}
 }
 
-// memory performs a load or store for every active replica through its
-// memory overlay. A replica whose address falls out of bounds detaches
-// Crashed.
+// memory performs a load or store for every active replica through the
+// replica memory columns. A replica whose address falls out of bounds
+// detaches Crashed.
 func (b *Batch) memory(x exec, s *isa.OpInfo, in isa.Instr) {
 	load := x == xLoad || x == xLoadAbs
 	val, baseReg := b.regs(s.SrcA, in.Ra), in.Rb
@@ -319,9 +369,10 @@ func (b *Batch) Run() {
 
 // MaterializeInto writes replica k's architectural state onto m, which
 // must currently mirror the batch's fork point (same memory as the base
-// machine). Memory is patched through the journal when m is journaling, so
-// the caller can revert the materialization with UndoJournal exactly like
-// a scalar experiment fork.
+// machine). Only the touched words where the replica differs from the base
+// are written, through the journal when m is journaling, so the caller can
+// revert the materialization with UndoJournal exactly like a scalar
+// experiment fork.
 func (b *Batch) MaterializeInto(k int, m *Machine) {
 	for reg := 0; reg < isa.NumRegs; reg++ {
 		m.R[reg] = b.r[reg][k]
@@ -340,7 +391,11 @@ func (b *Batch) MaterializeInto(k int, m *Machine) {
 		m.Status = Running
 		m.Crash = CrashNone
 	}
-	for addr, v := range b.delta[k] {
+	for _, addr := range b.touched {
+		v := b.mem[addr][k]
+		if v == b.base.Mem[addr] {
+			continue
+		}
 		if m.journaling {
 			m.recordWrite(addr)
 		}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -71,26 +72,29 @@ func scalarGroundTruth(fork *Machine, fl flipSpec) *Machine {
 // TestBatchMatchesScalar forks a batch of randomly flipped replicas at
 // several dynamic positions and checks every replica, materialized and
 // finished on a scalar machine, against an unbatched scalar run:
-// identical status, crash kind, dynamic count, registers, and memory.
+// identical status, crash kind, dynamic count, registers, and memory. One
+// Batch is re-forked with Reset across forks of different widths and
+// memory sizes, so a reused Batch must behave exactly like a fresh one.
 func TestBatchMatchesScalar(t *testing.T) {
 	l := batchProg(t)
-	const memWords = 32
 	rng := rand.New(rand.NewSource(7))
 
-	clean := New(l.Code, l.Entry, memWords)
+	clean := New(l.Code, l.Entry, 32)
 	if ev := clean.Run(); ev.Kind != EvHalt {
 		t.Fatalf("clean run: %v", ev.Kind)
 	}
 	total := clean.Dyn
 
-	for _, forkAt := range []uint64{0, 3, 9, 17, total - 2} {
+	b := new(Batch)
+	for i, forkAt := range []uint64{0, 3, 9, 17, total - 2, 9} {
+		memWords := []int{32, 12, 48, 32, 16, 32}[i]
+		K := []int{24, 5, 40, 1, 24, 13}[i]
 		fork := New(l.Code, l.Entry, memWords)
 		fork.MaxDyn = 10 * total
 		if ev := fork.RunUntilDyn(forkAt); ev.Kind != EvNone {
 			t.Fatalf("fork replay to %d: %v", forkAt, ev.Kind)
 		}
 
-		const K = 24
 		flips := make([]flipSpec, K)
 		for k := range flips {
 			flips[k] = flipSpec{
@@ -100,7 +104,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 			}
 		}
 
-		b := NewBatch(fork, K)
+		b.Reset(fork, K)
 		for k, fl := range flips {
 			if fl.float {
 				b.FlipFloat(k, fl.reg, fl.bit)
@@ -152,6 +156,146 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// sameState reports whether two machines hold identical architectural
+// state: memory, registers, PC, call stack, counters and status.
+func sameState(a, b *Machine) bool {
+	return slices.Equal(a.Mem, b.Mem) && a.R == b.R && a.F == b.F &&
+		a.PC == b.PC && slices.Equal(a.Stack, b.Stack) && a.Dyn == b.Dyn &&
+		a.MaxDyn == b.MaxDyn && a.Status == b.Status && a.Crash == b.Crash
+}
+
+// overlayFork links code, runs it for prefix instructions on a memWords
+// machine with mem preset, and returns the positioned fork.
+func overlayFork(t *testing.T, build func(*prog.B), memWords int, mem map[int]uint64, prefix uint64) *Machine {
+	t.Helper()
+	main := prog.NewFunc("main")
+	build(main)
+	p := prog.New()
+	p.MustAdd(main.MustBuild())
+	l, err := p.Link("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(l.Code, l.Entry, memWords)
+	for a, v := range mem {
+		m.Mem[a] = v
+	}
+	if ev := m.RunUntilDyn(prefix); ev.Kind != EvNone {
+		t.Fatalf("prefix: %v", ev.Kind)
+	}
+	return m
+}
+
+// TestBatchPrivateStoreKeepsBaseForOthers: one replica stores through a
+// flipped base register to a word no other replica touches; every other
+// replica must still load that word's base value.
+func TestBatchPrivateStoreKeepsBaseForOthers(t *testing.T) {
+	fork := overlayFork(t, func(f *prog.B) {
+		f.Li(1, 0)  // store base
+		f.Li(2, 7)  // stored value
+		f.Li(4, 16) // load base
+		f.St(2, 1, 0)
+		f.Ld(3, 4, 0)
+		f.Halt()
+	}, 32, map[int]uint64{0: 0x55, 16: 0xabc}, 3)
+	const K = 4
+	b := NewBatch(fork, K)
+	b.FlipInt(0, 1, 4) // replica 0 stores to word 16 instead of word 0
+	b.Run()
+	for k := 0; k < K; k++ {
+		m := fork.Clone()
+		b.MaterializeInto(k, m)
+		want0, want16, wantR3 := uint64(7), uint64(0xabc), uint64(0xabc)
+		if k == 0 {
+			want0, want16, wantR3 = 0x55, 7, 7
+		}
+		if m.Mem[0] != want0 || m.Mem[16] != want16 || m.R[3] != wantR3 {
+			t.Errorf("replica %d: mem[0]=%#x mem[16]=%#x r3=%#x, want %#x %#x %#x",
+				k, m.Mem[0], m.Mem[16], m.R[3], want0, want16, wantR3)
+		}
+	}
+}
+
+// TestBatchStoreBackOfBaseValueIsNotJournaled: a replica that stores the
+// base value back materializes with no journal entry, one that stores a
+// different value with exactly one, and UndoJournal restores the machine
+// to its fork state either way.
+func TestBatchStoreBackOfBaseValueIsNotJournaled(t *testing.T) {
+	fork := overlayFork(t, func(f *prog.B) {
+		f.Li(1, 0)
+		f.Li(2, 0x55) // mem[0] already holds it
+		f.St(2, 1, 0)
+		f.Halt()
+	}, 8, map[int]uint64{0: 0x55}, 2)
+	b := NewBatch(fork, 2)
+	b.FlipInt(1, 2, 0) // replica 1 stores 0x54
+	b.Run()
+	for k, wantJournal := range []int{0, 1} {
+		m := fork.Clone()
+		m.BeginJournal()
+		b.MaterializeInto(k, m)
+		if len(m.journal) != wantJournal {
+			t.Errorf("replica %d: %d journal entries, want %d", k, len(m.journal), wantJournal)
+		}
+		if !m.UndoJournal() {
+			t.Fatalf("replica %d: journal overflowed", k)
+		}
+		m.CopyScalarsFrom(fork)
+		if !sameState(m, fork) {
+			t.Errorf("replica %d: undo did not restore the fork state", k)
+		}
+	}
+}
+
+// TestBatchMaterializeOntoItsBase mirrors the injection engine, which
+// materializes every replica onto the batch's own base machine, finishes
+// it there and undoes it: that cycle for replica j must leave replica
+// j+1's materialization unchanged.
+func TestBatchMaterializeOntoItsBase(t *testing.T) {
+	l := batchProg(t)
+	rng := rand.New(rand.NewSource(3))
+	fork := New(l.Code, l.Entry, 32)
+	fork.MaxDyn = 1000
+	if ev := fork.RunUntilDyn(9); ev.Kind != EvNone {
+		t.Fatalf("fork replay: %v", ev.Kind)
+	}
+	pristine := fork.Clone()
+
+	const K = 24
+	flips := make([]flipSpec, K)
+	b := NewBatch(fork, K)
+	for k := range flips {
+		flips[k] = flipSpec{reg: 1 + rng.Intn(9), bit: uint(rng.Intn(8))}
+		b.FlipInt(k, flips[k].reg, flips[k].bit)
+	}
+	b.Run()
+	want := make([]*Machine, K)
+	for k := range want {
+		want[k] = pristine.Clone()
+		b.MaterializeInto(k, want[k])
+	}
+
+	for k, fl := range flips {
+		fork.BeginJournal()
+		b.MaterializeInto(k, fork)
+		if !sameState(fork, want[k]) {
+			t.Fatalf("replica %d: materialized onto the base differs from onto a copy", k)
+		}
+		fork.Run()
+		if g := scalarGroundTruth(pristine, fl); !sameState(fork, g) {
+			t.Fatalf("replica %d (%+v): finished state differs from the scalar run", k, fl)
+		}
+		if fork.UndoJournal() {
+			fork.CopyScalarsFrom(pristine)
+		} else {
+			fork.RestoreFrom(pristine)
+		}
+		if !sameState(fork, pristine) {
+			t.Fatalf("replica %d: undo left the base dirty", k)
+		}
+	}
+}
+
 // TestBatchStopsBeforeEvents ensures a batch never consumes SECEND or
 // HALT: the scalar finisher must observe those events itself.
 func TestBatchStopsBeforeEvents(t *testing.T) {
@@ -187,14 +331,16 @@ func TestBatchStopsBeforeEvents(t *testing.T) {
 // scalar interpreter. From random register files and memory, K replicas
 // with random flips take one Batch.Step, and each must reach the state one
 // scalar Step of the same flipped machine reaches: registers, memory, PC,
-// dynamic count, call stack, status and crash kind.
+// dynamic count, call stack, status and crash kind. One Batch is
+// re-forked with Reset for every trial, at varying widths.
 func TestBatchStepMatchesScalarPerOpcode(t *testing.T) {
 	const (
 		memWords = 64
 		codeLen  = 8
-		K        = 16
 		trials   = 40
 	)
+	widths := []int{16, 5, 23, 1, 16, 11}
+	b := new(Batch)
 	rng := rand.New(rand.NewSource(11))
 	// value favors the edges the semantics branch on: zero divisors,
 	// addresses just inside and outside memory, small negatives, floats.
@@ -245,7 +391,8 @@ func TestBatchStepMatchesScalarPerOpcode(t *testing.T) {
 			fork.Stack = []int{rng.Intn(codeLen)}
 			fork.Dyn = uint64(rng.Intn(100))
 
-			b := NewBatch(fork, K)
+			K := widths[trial%len(widths)]
+			b.Reset(fork, K)
 			flips := make([]flipSpec, K)
 			for k := range flips {
 				flips[k] = flipSpec{float: rng.Intn(2) == 0, reg: rng.Intn(isa.NumRegs), bit: uint(rng.Intn(64))}
@@ -301,19 +448,44 @@ func TestBatchStopsOnUndefinedOpcode(t *testing.T) {
 	}
 }
 
+// storeProg writes a words-long buffer from address 0, each word the
+// loop index plus r4: a flip of r4 corrupts every stored word without
+// changing control flow, so all replicas stay in lockstep and write the
+// whole buffer, as fft's replicas do.
+func storeProg(t testing.TB, words int64) *prog.Linked {
+	main := prog.NewFunc("main")
+	main.Li(1, 0)      // i, also the address
+	main.Li(3, words)  // n
+	main.Li(4, 0x1234) // addend, the flip target
+	main.Label("loop")
+	main.Add(5, 4, 1)
+	main.St(5, 1, 0)
+	main.Addi(1, 1, 1)
+	main.Blt(1, 3, "loop")
+	main.Halt()
+	p := prog.New()
+	p.MustAdd(main.MustBuild())
+	l, err := p.Link("main")
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	return l
+}
+
+// BenchmarkBatchStep runs one batch per iteration through a reused Batch,
+// as the injection engine does. The store cases also materialize every
+// replica onto a journaling fork and undo it, so they measure the whole
+// memory-column path on a 12 KiB buffer.
 func BenchmarkBatchStep(b *testing.B) {
 	l := batchProg(b)
-	const memWords = 32
-	fork := New(l.Code, l.Entry, memWords)
-	clean := New(l.Code, l.Entry, memWords)
-	clean.Run()
+	fork := New(l.Code, l.Entry, 32)
 	for _, width := range []int{1, 8, 32} {
-		name := map[int]string{1: "k1", 8: "k8", 32: "k32"}[width]
-		b.Run(name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("k%d", width), func(b *testing.B) {
 			b.ReportAllocs()
+			bt := new(Batch)
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				bt := NewBatch(fork, width)
+				bt.Reset(fork, width)
 				for k := 0; k < width; k++ {
 					bt.FlipInt(k, 4, uint(k%64))
 				}
@@ -321,6 +493,33 @@ func BenchmarkBatchStep(b *testing.B) {
 				steps += int(bt.Steps())
 			}
 			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
+	}
+
+	const words = 1536
+	sl := storeProg(b, words)
+	sfork := New(sl.Code, sl.Entry, 4*words)
+	sfork.RunUntilDyn(3)
+	for _, width := range []int{8, 32} {
+		b.Run(fmt.Sprintf("store/k%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			bt := new(Batch)
+			em := sfork.Clone()
+			for i := 0; i < b.N; i++ {
+				bt.Reset(em, width)
+				for k := 0; k < width; k++ {
+					bt.FlipInt(k, 4, uint(k%64))
+				}
+				bt.Run()
+				for k := 0; k < width; k++ {
+					em.BeginJournal()
+					bt.MaterializeInto(k, em)
+					if !em.UndoJournal() {
+						b.Fatal("journal overflowed")
+					}
+					em.CopyScalarsFrom(sfork)
+				}
+			}
 		})
 	}
 }
