@@ -65,13 +65,12 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "how long to let running jobs finish on shutdown")
 		debug    = flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		walDir   = flag.String("wal-dir", "", "write-ahead campaign log directory; a job re-POSTed over a crashed campaign resumes it and reports resumed_experiments")
-		benches  = flag.Int("max-benches", 0, "benchmark stores kept in the cache, LRU-evicted beyond this (0 = unlimited)")
 		workMode = flag.Bool("worker", false, "run as a shard worker: serve only POST /v1/shard and GET /healthz, no job API")
 		workerID = flag.String("worker-id", "", "worker identity reported to coordinators (default worker-<pid>)")
 		peers    = flag.String("peers", "", "comma-separated worker base URLs; turns this daemon into a campaign coordinator")
 		noElide  = flag.Bool("no-elide", false, "disable the static masking tier for every job (simulate all experiments)")
 		noBatch  = flag.Bool("no-batch", false, "disable lockstep batch replay for every job (scalar forks only)")
-		shared   = flag.String("shared-store", "", "directory of the shared content-addressed outcome tier; several ffserved processes may point at the same directory")
+		shared   = flag.String("shared-store", "", "directory of the shared content-addressed outcome tier; several ffserved processes may point at the same directory (empty = a 64 MiB in-memory cache)")
 		sharedQ  = flag.Int64("shared-quota", 0, "per-tenant live byte quota in the shared store, oldest sections evicted beyond it (0 = unlimited)")
 		tenantQ  = flag.Int("tenant-jobs", 0, "per-tenant active-job quota, submissions beyond it get 429 (0 = unlimited)")
 		token    = flag.String("worker-token", "", "shared secret for worker shard endpoints: workers refuse leases without it, coordinators send it as a bearer token")
@@ -138,15 +137,14 @@ func main() {
 	}
 
 	mgr := service.New(service.Options{
-		Workers:          *jobs,
-		QueueDepth:       *queue,
-		MaxRetained:      *retain,
-		InjectWorkers:    *workers,
-		WALDir:           *walDir,
-		MaxCachedBenches: *benches,
-		Coordinator:      co,
-		Shared:           sharedStore,
-		MaxTenantActive:  *tenantQ,
+		Workers:         *jobs,
+		QueueDepth:      *queue,
+		MaxRetained:     *retain,
+		InjectWorkers:   *workers,
+		WALDir:          *walDir,
+		Coordinator:     co,
+		Shared:          sharedStore,
+		MaxTenantActive: *tenantQ,
 		ConfigHook: func(cfg *core.Config) {
 			cfg.Elide = !*noElide
 			cfg.NoBatch = *noBatch

@@ -370,6 +370,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 			continue
 		}
 
+		poisonedBefore := len(inj.Poisoned()) + len(remotePoisoned)
+
 		// Open this section's write-ahead segment. Experiments recovered
 		// from it are marked in skip and merged instead of re-executed;
 		// everything the engine runs is appended through the record hook
@@ -523,7 +525,10 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 			r.ffClasses = append(r.ffClasses, rec)
 			stored.Outcomes[c.Key] = store.FromMetrics(outcomes[i])
 		}
-		if a.Store != nil {
+		// A section with quarantined experiments holds conservative fills,
+		// not results: storing it under its content key would hand the
+		// fills to every later lookup as if they were outcomes.
+		if a.Store != nil && len(inj.Poisoned())+len(remotePoisoned) == poisonedBefore {
 			a.Store.Put(key, stored)
 		}
 		report()

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -321,5 +322,63 @@ func TestRepeatedPanicQuarantines(t *testing.T) {
 	sumRef.Telemetry, sum2.Telemetry = Telemetry{}, Telemetry{}
 	if !reflect.DeepEqual(sumRef, sum2) {
 		t.Errorf("resume after quarantine differs from uninterrupted run:\nref:     %+v\nresumed: %+v", sumRef, sum2)
+	}
+}
+
+// TestPoisonedSectionNotStored quarantines experiments of the first
+// section only: its conservative fills must not be stored under its
+// content key, while the clean second section is. A later analysis over
+// the same store re-injects the poisoned section and converges to the
+// uninterrupted summary.
+func TestPoisonedSectionNotStored(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	p := testprog.Pipeline()
+
+	ref := NewAnalyzer(cfg)
+	rRef, err := ref.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumRef := rRef.Summarize(cfg.Epsilon, nil)
+
+	var sectionsDone atomic.Int32
+	cfgP := cfg
+	cfgP.ExperimentPanicHook = func(class, attempt int) {
+		if sectionsDone.Load() == 0 && class == 0 {
+			panic("test-poison boom")
+		}
+	}
+	a := NewAnalyzer(cfgP)
+	a.Progress = func(pr Progress) { sectionsDone.Store(int32(pr.Done)) }
+	r, err := a.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Poisoned) == 0 {
+		t.Fatal("hook quarantined nothing")
+	}
+	for idx, inst := range r.Trace.Instances {
+		key, err := store.KeyFor(r.Trace, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := a.Store.Lookup(key) != nil, idx != 0; got != want {
+			t.Errorf("instance %d: stored=%v, want %v", idx, got, want)
+		}
+	}
+
+	clean := &Analyzer{Cfg: cfg, Store: a.Store}
+	r2, err := clean.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.ReusedInstances != 1 || r2.InjectedInstances != 1 {
+		t.Errorf("rerun reused=%d injected=%d, want 1/1", r2.ReusedInstances, r2.InjectedInstances)
+	}
+	sum2 := r2.Summarize(cfg.Epsilon, nil)
+	requireRun(t, sum2, 0)
+	if !reflect.DeepEqual(sumRef.Outcomes, sum2.Outcomes) {
+		t.Errorf("rerun outcomes differ from uninterrupted run:\nref:   %+v\nrerun: %+v", sumRef.Outcomes, sum2.Outcomes)
 	}
 }

@@ -2,9 +2,9 @@
 // tier: the §4.7 reuse economy generalized across users, processes, and
 // program versions. A section's analysis is named by its content key
 // (store.KeyFor), so *any* tenant submitting *any* variant of *any*
-// benchmark reuses every section anyone has ever analyzed — the
-// per-benchmark in-memory cache inside one ffserved process becomes a
-// tier in front of a store the whole fleet shares.
+// benchmark reuses every section anyone has ever analyzed. It is the
+// service's only result cache: one ffserved process, or a whole fleet
+// sharing a directory.
 //
 // On-disk layout (one directory, shared by any number of processes):
 //
@@ -32,6 +32,10 @@
 // All file content I/O flows through the errfs seam so chaos tests can
 // break any step of the publish protocol; directory listing is not a
 // fault point and uses the real filesystem.
+//
+// A store opened without a directory is memory-only: it touches no file,
+// and Flush moves the staged sections into the decoded LRU, which is then
+// the whole store. A section evicted from it is simply a miss.
 package ostore
 
 import (
@@ -48,8 +52,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fastflip/internal/errfs"
+	"fastflip/internal/sites"
 	"fastflip/internal/store"
 )
 
@@ -71,17 +77,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed is returned by operations on a closed Store.
 var ErrClosed = errors.New("ostore: store closed")
 
-// Options configure a shared outcome store. The zero value of everything
-// but Dir gets sensible defaults.
+// Options configure a shared outcome store. The zero value gets sensible
+// defaults.
 type Options struct {
-	// Dir is the shared directory (required; created if missing).
+	// Dir is the shared directory, created if missing. Empty means
+	// memory-only: no file is read or written, the decoded LRU bounded by
+	// MaxCacheBytes holds every live section, and TenantQuotaBytes is
+	// ignored.
 	Dir string
 	// FS routes all file content I/O; nil uses the real filesystem.
 	// Chaos tests inject publish faults through it.
 	FS errfs.FS
 	// MaxCacheBytes bounds the in-memory LRU of decoded sections,
-	// measured in encoded payload bytes (default 64 MiB; negative
-	// disables caching).
+	// measured in encoded payload bytes, estimated without encoding in a
+	// memory-only store (default 64 MiB; negative disables caching, which
+	// leaves a memory-only store empty).
 	MaxCacheBytes int64
 	// TenantQuotaBytes bounds the live on-disk bytes attributed to any
 	// one publishing tenant; beyond it, that tenant's oldest sections
@@ -109,15 +119,17 @@ type TenantStats struct {
 
 // Stats is a point-in-time snapshot of the store's counters and gauges.
 type Stats struct {
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Publishes  uint64 `json:"publishes"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Publishes uint64 `json:"publishes"`
+	// Evictions counts sections dropped to enforce a tenant quota or, in
+	// a memory-only store, MaxCacheBytes.
 	Evictions  uint64 `json:"evictions"`
 	FlushErrs  uint64 `json:"flush_errors"`
 	Corrupt    uint64 `json:"corrupt_records"`
 	Bytes      int64  `json:"bytes"`       // live on-disk payload bytes
 	CacheBytes int64  `json:"cache_bytes"` // decoded-LRU footprint
-	Sections   int    `json:"sections"`
+	Sections   int    `json:"sections"`    // live sections, staged ones included
 	Segments   int    `json:"segments"`
 	// Tenants maps tenant names to their counters; tenants appear on
 	// their first lookup or publish.
@@ -183,16 +195,15 @@ type Store struct {
 type pendingRec struct {
 	tenant string
 	sec    *store.Section
-	enc    []byte // gob payload, encoded at Put time
+	enc    []byte // gob payload, encoded at Put time; nil when memory-only
+	size   int64  // len(enc), or approxEncodedSize when memory-only
 }
 
 // Open opens (creating if necessary) the shared store in opts.Dir and
 // loads its index: the checkpoint when present and intact, plus a scan of
-// every segment the checkpoint does not fully account for.
+// every segment the checkpoint does not fully account for. With an empty
+// Dir it returns an empty memory-only store.
 func Open(opts Options) (*Store, error) {
-	if opts.Dir == "" {
-		return nil, errors.New("ostore: Dir is required")
-	}
 	if opts.FS == nil {
 		opts.FS = errfs.OS()
 	}
@@ -201,9 +212,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = 8 << 20
-	}
-	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ostore: %w", err)
 	}
 	s := &Store{
 		opts:        opts,
@@ -216,6 +224,12 @@ func Open(opts Options) (*Store, error) {
 		tenants:     make(map[string]*TenantStats),
 		tenantOrder: make(map[string][]store.Key),
 	}
+	if s.memOnly() {
+		return s, nil
+	}
+	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("ostore: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.loadCheckpointLocked()
@@ -223,6 +237,27 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// memOnly reports whether the store runs without a directory.
+func (s *Store) memOnly() bool { return s.opts.Dir == "" }
+
+// approxEncodedSize estimates the gob payload size of sec without
+// encoding it, from the bytes gob spends per outcome, magnitude and
+// matrix entry. A memory-only store sizes its LRU entries with it:
+// encoding every published section just to measure it took a sixth of a
+// service run's CPU.
+func approxEncodedSize(sec *store.Section) int64 {
+	n := 416 // an empty record: the key and gob's type descriptors
+	for _, m := range []map[sites.ClassKey]store.Outcome{sec.Outcomes, sec.Final} {
+		for k, o := range m {
+			n += len(k.Static.Func) + 16 + 9*len(o.Magnitudes)
+		}
+	}
+	for _, row := range sec.Amp {
+		n += 2 + 9*len(row)
+	}
+	return int64(n)
 }
 
 // tenantLocked returns (creating) the counters for tenant.
@@ -258,7 +293,7 @@ func (s *Store) Get(tenant string, key store.Key) *store.Section {
 		ts.Hits++
 		return el.Value.(*cacheEntry).sec
 	}
-	if _, ok := s.index[key]; !ok {
+	if _, ok := s.index[key]; !ok && !s.memOnly() {
 		// Another process may have published since we last looked.
 		_ = s.refreshLocked()
 	}
@@ -310,13 +345,23 @@ func (s *Store) Put(tenant string, key store.Key, sec *store.Section) error {
 	if _, ok := s.index[key]; ok {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(segRecord{Key: key, Tenant: tenant, Sec: sec}); err != nil {
-		return fmt.Errorf("ostore: encoding section %s: %w", key, err)
+	if _, ok := s.lruByK[key]; ok && s.memOnly() {
+		return nil
 	}
-	s.pending[key] = &pendingRec{tenant: tenant, sec: sec, enc: buf.Bytes()}
+	p := &pendingRec{tenant: tenant, sec: sec}
+	if s.memOnly() {
+		// Nothing is written, so the payload is only needed for its size.
+		p.size = approxEncodedSize(sec)
+	} else {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(segRecord{Key: key, Tenant: tenant, Sec: sec}); err != nil {
+			return fmt.Errorf("ostore: encoding section %s: %w", key, err)
+		}
+		p.enc, p.size = buf.Bytes(), int64(buf.Len())
+	}
+	s.pending[key] = p
 	s.pendOrd = append(s.pendOrd, key)
-	s.pendSz += int64(buf.Len())
+	s.pendSz += p.size
 	s.stats.Publishes++
 	s.tenantLocked(tenant).Publishes++
 	if s.pendSz >= s.opts.MaxSegmentBytes {
@@ -357,6 +402,9 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Sections = len(s.index) + len(s.pending)
+	if s.memOnly() {
+		st.Sections = s.lru.Len() + len(s.pending)
+	}
 	st.Segments = len(s.segs)
 	st.CacheBytes = s.lruSize
 	st.Tenants = make(map[string]TenantStats, len(s.tenants))
@@ -377,9 +425,18 @@ type segRecord struct {
 // CRC-32C over key-independent payload bytes.
 const frameHeaderSize = 8
 
-// flushLocked publishes the pending batch; no-op when it is empty.
+// flushLocked publishes the pending batch; no-op when it is empty. A
+// memory-only store moves the batch into the LRU instead.
 func (s *Store) flushLocked() error {
 	if len(s.pendOrd) == 0 {
+		return nil
+	}
+	if s.memOnly() {
+		for _, key := range s.pendOrd {
+			p := s.pending[key]
+			s.cacheInsertLocked(key, p.sec, p.size)
+		}
+		s.resetPendingLocked()
 		return nil
 	}
 	f, err := s.fs.CreateTemp(s.opts.Dir, ".seg-*.tmp")
@@ -460,12 +517,16 @@ func (s *Store) flushLocked() error {
 		si.live = live
 		s.segs[segName] = si
 	}
-	s.pending = make(map[store.Key]*pendingRec)
-	s.pendOrd = nil
-	s.pendSz = 0
+	s.resetPendingLocked()
 	s.enforceQuotasLocked()
 	s.writeCheckpointLocked()
 	return nil
+}
+
+func (s *Store) resetPendingLocked() {
+	s.pending = make(map[store.Key]*pendingRec)
+	s.pendOrd = nil
+	s.pendSz = 0
 }
 
 // sanitizeSuffix turns a temp-file base name into a safe segment-name
@@ -580,6 +641,10 @@ func (s *Store) cacheInsertLocked(key store.Key, sec *store.Section, size int64)
 	s.lruSize += size
 	for s.lruSize > s.opts.MaxCacheBytes && s.lru.Len() > 1 {
 		s.lruRemoveLocked(s.lru.Back())
+		if s.memOnly() {
+			// The LRU is the whole memory-only store: the section is gone.
+			s.stats.Evictions++
+		}
 	}
 }
 
@@ -830,17 +895,36 @@ func (s *Store) writeCheckpointLocked() {
 
 func (s *Store) checkpointPath() string { return filepath.Join(s.opts.Dir, "index.ffi") }
 
-// tierAdapter presents a Store as a store.Tier attributed to one tenant.
-type tierAdapter struct {
+// Tier is a store.Tier view of a Store whose traffic is attributed to one
+// tenant. It counts its own lookups: the store's counters are global, and
+// a caller holding one Tier per job reads just that job's share.
+type Tier struct {
 	s      *Store
 	tenant string
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
-func (t tierAdapter) TierLookup(key store.Key) *store.Section { return t.s.Get(t.tenant, key) }
-func (t tierAdapter) TierPublish(key store.Key, sec *store.Section) {
+// AsTier returns a Tier over s for tenant — the hook store.Store.WithTier
+// expects.
+func (s *Store) AsTier(tenant string) *Tier { return &Tier{s: s, tenant: tenant} }
+
+func (t *Tier) TierLookup(key store.Key) *store.Section {
+	sec := t.s.Get(t.tenant, key)
+	if sec != nil {
+		t.hits.Add(1)
+	} else {
+		t.misses.Add(1)
+	}
+	return sec
+}
+
+// TierPublish stages sec; it reaches other handles on the store's next
+// Flush. Publish errors surface through the store's stats.
+func (t *Tier) TierPublish(key store.Key, sec *store.Section) {
 	_ = t.s.Put(t.tenant, key, sec)
 }
 
-// AsTier returns a store.Tier view of s whose traffic is attributed to
-// tenant — the hook store.Store.WithTier expects.
-func (s *Store) AsTier(tenant string) store.Tier { return tierAdapter{s: s, tenant: tenant} }
+// Hits and Misses count this view's lookups.
+func (t *Tier) Hits() int   { return int(t.hits.Load()) }
+func (t *Tier) Misses() int { return int(t.misses.Load()) }

@@ -163,8 +163,8 @@ func TestSubmitPollResult(t *testing.T) {
 	if metricsAfter.InjectionsRun == metricsBefore.InjectionsRun {
 		t.Error("injections_run did not move")
 	}
-	if metricsAfter.StoreSections == 0 {
-		t.Error("store_sections still zero after a completed job")
+	if metricsAfter.SharedSections == 0 {
+		t.Error("shared_sections still zero after a completed job")
 	}
 	// The default config batches same-site experiments; the pipe fixture's
 	// classes all batch, so the counters and the derived mean width move.

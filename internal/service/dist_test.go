@@ -1,116 +1,55 @@
 package service
 
 import (
-	"reflect"
 	"testing"
 
 	"fastflip/internal/coord"
-	"fastflip/internal/metrics"
+	"fastflip/internal/core"
 )
 
 // distOptions is testOptions with a coordinator attached. The fleet is
 // deliberately empty: every campaign converges through the coordinator's
-// local fallback, which exercises the exact distributed code path
-// (fresh store, invalidate-then-merge) without network plumbing.
+// local fallback, which exercises the exact distributed code path without
+// network plumbing.
 func distOptions(c *coord.Coordinator) Options {
 	o := testOptions()
 	o.Coordinator = c
 	return o
 }
 
-func TestInvalidateStore(t *testing.T) {
-	m := New(testOptions())
-	defer closeManager(t, m)
+// TestDistributedJobReusesCache runs pipe locally, then the same job
+// through a coordinator over the same cache: a distributed job looks up
+// and publishes like a local one, so it reuses both sections, dispatches
+// nothing to the fleet, and reports the same summary.
+func TestDistributedJobReusesCache(t *testing.T) {
+	cache := openShared(t, "")
+	local := testOptions()
+	local.Shared = cache
+	mL := New(local)
+	defer closeManager(t, mL)
+	ref := waitDone(t, mL, submit(t, mL, Request{Bench: "pipe", Baseline: true}).ID)
+	if ref.State != StateDone || ref.Result.Injected != 2 {
+		t.Fatalf("local job: %s (err %q), result %+v", ref.State, ref.Error, ref.Result)
+	}
 
-	if m.InvalidateStore("pipe") {
-		t.Error("invalidating an uncached benchmark reported true")
-	}
-	v, err := m.Submit(Request{Bench: "pipe"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, m, v.ID)
-	if got := m.Metrics().StoreBenches; got != 1 {
-		t.Fatalf("cached benchmarks after job: %d", got)
-	}
-	if !m.InvalidateStore("pipe") {
-		t.Error("invalidating a cached benchmark reported false")
-	}
-	mt := m.Metrics()
-	if mt.StoreBenches != 0 {
-		t.Errorf("benchmarks cached after invalidation: %d", mt.StoreBenches)
-	}
-	if mt.StoreInvalidations != 1 {
-		t.Errorf("StoreInvalidations = %d, want 1", mt.StoreInvalidations)
-	}
-}
-
-// TestDistributedJobIgnoresAndReplacesStaleCache is the stale-merge
-// regression: a distributed job must neither resolve sections from the
-// benchmark's cached store (a stale entry would mask the fleet's merged
-// results) nor leave the stale entries behind afterwards.
-func TestDistributedJobIgnoresAndReplacesStaleCache(t *testing.T) {
 	c := coord.NewCoordinator(coord.Options{Heartbeat: -1})
 	defer c.Close()
-	m := New(distOptions(c))
-	defer closeManager(t, m)
-
-	// Reference summary from a clean run (this also warms the cache).
-	ref := waitDone(t, m, submit(t, m, Request{Bench: "pipe"}).ID)
-	if ref.State != StateDone {
-		t.Fatalf("reference job: %+v", ref)
+	dist := distOptions(c)
+	dist.Shared = cache
+	mD := New(dist)
+	defer closeManager(t, mD)
+	got := waitDone(t, mD, submit(t, mD, Request{Bench: "pipe", Baseline: true}).ID)
+	if got.State != StateDone {
+		t.Fatalf("distributed job: %s (err %q)", got.State, got.Error)
 	}
-
-	// Corrupt every cached section the way a stale fleet or a crashed
-	// local run would: conservative +Inf SDC fills everywhere. A job that
-	// trusts the cache now reports a radically different summary.
-	m.mu.Lock()
-	st := m.stores["pipe"]
-	if st == nil || len(st.Sections) == 0 {
-		m.mu.Unlock()
-		t.Fatal("reference run cached no sections")
+	if r := got.Result; r.Reused != 2 || r.Injected != 0 || r.SharedHits != 2 {
+		t.Errorf("distributed job: reused=%d injected=%d shared_hits=%d, want 2/0/2", r.Reused, r.Injected, r.SharedHits)
 	}
-	for _, sec := range st.Sections {
-		for key, out := range sec.Outcomes {
-			out.Kind = metrics.SDC
-			out.Magnitudes = []float64{1e18}
-			sec.Outcomes[key] = out
-		}
+	if d := c.Metrics(); d.ShardsDispatched != 0 || d.LocalFallbackExperiments != 0 {
+		t.Errorf("fully cached job reached the fleet: %+v", d)
 	}
-	m.mu.Unlock()
-
-	// The distributed re-run must reuse nothing and match the reference.
-	redo := waitDone(t, m, submit(t, m, Request{Bench: "pipe"}).ID)
-	if redo.State != StateDone {
-		t.Fatalf("distributed job: %+v", redo)
-	}
-	if redo.Progress.Reused != 0 {
-		t.Errorf("distributed job reused %d cached sections", redo.Progress.Reused)
-	}
-	if ref.Result == nil || redo.Result == nil {
-		t.Fatal("missing results")
-	}
-	if !reflect.DeepEqual(ref.Result.Outcomes, redo.Result.Outcomes) {
-		t.Errorf("stale cache leaked into distributed run:\nref:  %+v\nredo: %+v", ref.Result.Outcomes, redo.Result.Outcomes)
-	}
-	if m.Metrics().StoreInvalidations == 0 {
-		t.Error("coordinator-merged campaign did not invalidate the cache")
-	}
-
-	// The merge after invalidation replaced the poisoned entries: the
-	// cache now holds the campaign's real outcomes, not the stale fills.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	stale := 0
-	for _, sec := range m.stores["pipe"].Sections {
-		for _, out := range sec.Outcomes {
-			if len(out.Magnitudes) == 1 && out.Magnitudes[0] == 1e18 {
-				stale++
-			}
-		}
-	}
-	if stale != 0 {
-		t.Errorf("%d stale section outcomes survived the distributed merge", stale)
+	if a, b := summaryJSON(t, ref.Result, 0), summaryJSON(t, got.Result, core.AllowRemote); a != b {
+		t.Errorf("distributed summary differs from the local one:\n local %s\n dist  %s", a, b)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -72,6 +73,54 @@ func TestPoisonedJobFailsWithDiagnostics(t *testing.T) {
 	}
 	if got2 := waitDone(t, m, v2.ID); got2.State != StateDone {
 		t.Fatalf("follow-up job state = %s (err %q), want done", got2.State, got2.Error)
+	}
+}
+
+// TestPoisonedJobIsNotCached quarantines the first 40 classes of every
+// section of a pipe job, then resubmits it with the panics disarmed. The
+// quarantined sections' conservative fills must never have reached the
+// cache: the resubmission re-injects both sections and reports the
+// outcomes of a clean manager's run.
+func TestPoisonedJobIsNotCached(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	opts := testOptions()
+	opts.ConfigHook = func(cfg *core.Config) {
+		cfg.Workers = 1
+		cfg.ExperimentPanicHook = func(class, attempt int) {
+			if armed.Load() && class < 40 {
+				panic("test-poison boom")
+			}
+		}
+	}
+	m := New(opts)
+	defer closeManager(t, m)
+
+	poisoned := waitDone(t, m, submit(t, m, Request{Bench: "pipe"}).ID)
+	if poisoned.State != StateFailed || len(poisoned.Result.Poisoned) == 0 {
+		t.Fatalf("poisoned job: %s (err %q)", poisoned.State, poisoned.Error)
+	}
+	if got := m.Metrics().SharedSections; got != 0 {
+		t.Errorf("poisoned job cached %d sections", got)
+	}
+
+	armed.Store(false)
+	redo := waitDone(t, m, submit(t, m, Request{Bench: "pipe"}).ID)
+	if redo.State != StateDone {
+		t.Fatalf("resubmission: %s (err %q)", redo.State, redo.Error)
+	}
+	if r := redo.Result; r.Injected != 2 || r.Reused != 0 || len(r.Poisoned) != 0 {
+		t.Errorf("resubmission: injected=%d reused=%d poisoned=%d, want 2/0/0", r.Injected, r.Reused, len(r.Poisoned))
+	}
+
+	clean := New(testOptions())
+	defer closeManager(t, clean)
+	ref := waitDone(t, clean, submit(t, clean, Request{Bench: "pipe"}).ID)
+	if ref.State != StateDone {
+		t.Fatalf("clean job: %s (err %q)", ref.State, ref.Error)
+	}
+	if !reflect.DeepEqual(ref.Result.Outcomes, redo.Result.Outcomes) {
+		t.Errorf("resubmission reports cached fills:\nclean: %+v\nredo:  %+v", ref.Result.Outcomes, redo.Result.Outcomes)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestJobResumeAfterCancelledCampaign(t *testing.T) {
 	}
 
 	// Re-POST over the crashed campaign. The single section was never
-	// completed, so nothing is in the store cache — everything recovered
+	// completed, so nothing is in the result cache — everything recovered
 	// comes from the WAL.
 	v2, err := m.Submit(Request{Bench: "slow"})
 	if err != nil {
@@ -85,96 +85,15 @@ func TestJobResumeAfterCancelledCampaign(t *testing.T) {
 	}
 }
 
-// TestBenchStoreCacheEviction exercises MaxCachedBenches: the least
-// recently used benchmark store is evicted once the cap is exceeded, but a
-// benchmark with a live job is pinned so its cache entry can never be
-// freed in the window between job start and store merge.
-func TestBenchStoreCacheEviction(t *testing.T) {
-	opts := testOptions()
-	opts.Workers = 2
-	opts.MaxCachedBenches = 1
-	opts.ListBenchmarks = func() []string { return []string{"pipe", "slowish"} }
-	// The second job (v2) must still be running when v3 completes. Its
-	// store is warm, so rather than rely on its run time, hold it in
-	// analyzer setup until the test releases it.
-	var setups atomic.Int32
-	release := make(chan struct{})
-	var releaseOnce sync.Once
-	unblock := func() { releaseOnce.Do(func() { close(release) }) }
-	opts.ConfigHook = func(*core.Config) {
-		if setups.Add(1) == 2 {
-			<-release
-		}
-	}
-	m := New(opts)
-	defer closeManager(t, m)
-	defer unblock()
-
-	cached := func(name string) bool {
-		for _, b := range m.Benchmarks() {
-			if b.Name == name {
-				return b.CachedSections > 0
-			}
-		}
-		return false
-	}
-
-	// Seed the cache with slowish's store.
-	v1, err := m.Submit(Request{Bench: "slowish"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, m, v1.ID)
-	if !cached("slowish") {
-		t.Fatal("completed job left no cached store")
-	}
-
-	// Pin slowish with a second, running job; completing pipe now pushes
-	// the cache over the cap, and eviction must drop pipe itself — the
-	// LRU victim (slowish) is pinned.
-	v2, err := m.Submit(Request{Bench: "slowish"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, m, v2.ID, StateRunning)
-	v3, err := m.Submit(Request{Bench: "pipe"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, m, v3.ID)
-	if !cached("slowish") {
-		t.Error("pinned benchmark store was evicted mid-job")
-	}
-	if got := m.Metrics().StoreBenches; got > 2 {
-		t.Errorf("store cache holds %d benchmarks, cap is 1 (+1 pinned)", got)
-	}
-	unblock()
-	waitDone(t, m, v2.ID)
-
-	// With the pin gone, completing pipe again evicts slowish (LRU).
-	v4, err := m.Submit(Request{Bench: "pipe"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, m, v4.ID)
-	if cached("slowish") && cached("pipe") {
-		t.Error("eviction kept both stores beyond the cap")
-	}
-	if got := m.Metrics().StoreBenches; got != 1 {
-		t.Errorf("store cache holds %d benchmarks after unpinning, want 1", got)
-	}
-}
-
-// TestCancelMergeEvictRace hammers the cancel → merge-completed-sections →
-// evict path from many goroutines with the store cache capped, so the
-// race detector can observe any window where eviction frees a cache entry
-// a merging job still writes into.
-func TestCancelMergeEvictRace(t *testing.T) {
+// TestCancelPublishRace hammers the cancel → publish-completed-sections
+// path from many goroutines, so the race detector can observe any window
+// where a cancelled job's staged sections race another job's lookups,
+// the flush, or the metrics readers.
+func TestCancelPublishRace(t *testing.T) {
 	opts := testOptions()
 	opts.Workers = 2
 	opts.QueueDepth = 128
 	opts.MaxRetained = 4
-	opts.MaxCachedBenches = 1
 	opts.WALDir = t.TempDir()
 	m := New(opts)
 	defer closeManager(t, m)
@@ -193,7 +112,7 @@ func TestCancelMergeEvictRace(t *testing.T) {
 				}
 				if rng.Intn(2) == 0 {
 					time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
-					m.Cancel(v.ID) // races the merge on purpose
+					m.Cancel(v.ID) // races the publish on purpose
 				}
 				m.Get(v.ID)
 				m.List()
@@ -204,4 +123,48 @@ func TestCancelMergeEvictRace(t *testing.T) {
 	}
 	wg.Wait()
 	// The deferred Close drains whatever is still queued or running.
+}
+
+// TestCancelledJobWarmsCache cancels a pipe job while its second section
+// is being injected: the first section, completed before the cancel, is
+// published, so the retry reuses it and injects only the second.
+func TestCancelledJobWarmsCache(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	var firstClasses atomic.Int32
+	inSecond := make(chan struct{})
+	release := make(chan struct{})
+	opts := testOptions()
+	opts.ConfigHook = func(cfg *core.Config) {
+		cfg.Workers = 1
+		cfg.ExperimentPanicHook = func(class, attempt int) {
+			// Class 0 starts each section's campaign; its second
+			// appearance is the second section.
+			if armed.Load() && class == 0 && firstClasses.Add(1) == 2 {
+				close(inSecond)
+				<-release
+			}
+		}
+	}
+	m := New(opts)
+	defer closeManager(t, m)
+
+	v := submit(t, m, Request{Bench: "pipe"})
+	<-inSecond
+	if _, err := m.Cancel(v.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if got := waitDone(t, m, v.ID); got.State != StateCancelled {
+		t.Fatalf("job state = %s, want cancelled", got.State)
+	}
+
+	armed.Store(false)
+	got := waitDone(t, m, submit(t, m, Request{Bench: "pipe"}).ID)
+	if got.State != StateDone {
+		t.Fatalf("retry: %s (err %q)", got.State, got.Error)
+	}
+	if r := got.Result; r.Reused != 1 || r.Injected != 1 || r.SharedHits != 1 {
+		t.Errorf("retry: reused=%d injected=%d shared_hits=%d, want 1/1/1", r.Reused, r.Injected, r.SharedHits)
+	}
 }

@@ -2,26 +2,28 @@
 // worker pool — the resident form of the cmd/fastflip workflow. A Manager
 // owns a submission queue, per-job lifecycle (queued → running →
 // done/failed/cancelled), live progress snapshots, retained results with
-// FIFO eviction, and an in-memory cache of section stores so repeated
-// submissions reuse per-section results across requests (§4.7 applied
-// across processes instead of within one).
+// FIFO eviction, and one result cache so repeated submissions reuse
+// per-section results across requests (§4.7 applied across requests
+// instead of within one analysis).
 //
-// The store cache is keyed by benchmark name. The store itself is
-// content-addressed (a section's key hashes its executed code and input
-// values), so one store safely serves every variant of a benchmark: a
-// resubmission of the same version reuses everything, and a modified
-// version reuses its unchanged sections — the paper's cross-version reuse,
-// now surviving between requests.
+// The cache is an ostore.Store: the caller's shared tier, or a
+// memory-only one the manager owns. It is content-addressed (a section's
+// key hashes its executed code and input values), so it safely serves
+// every benchmark, variant and tenant at once: a resubmission of the same
+// version reuses everything, and a modified version reuses its unchanged
+// sections — the paper's cross-version reuse, now surviving between
+// requests. Every job, local or distributed, looks sections up in it and
+// publishes what it analyzes.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastflip/internal/bench"
@@ -155,26 +157,22 @@ type Metrics struct {
 
 	// StoreHits counts section instances resolved from the cache,
 	// StoreMisses those that had to be injected.
-	StoreHits     uint64 `json:"store_hits"`
-	StoreMisses   uint64 `json:"store_misses"`
-	StoreSections int    `json:"store_sections"`   // gauge
-	StoreBenches  int    `json:"store_benchmarks"` // gauge
-	// StoreInvalidations counts per-benchmark cache drops: explicit
-	// InvalidateStore calls plus the automatic invalidation every
-	// completed distributed job performs before merging its results.
-	StoreInvalidations uint64 `json:"store_invalidations"`
+	StoreHits   uint64 `json:"store_hits"`
+	StoreMisses uint64 `json:"store_misses"`
 
-	// Shared-tier counters, all zero without Options.Shared. Hits and
-	// misses are lookups against the cross-process outcome store (a hit
-	// means the section was analyzed by some earlier job — possibly in
-	// another process, by another tenant); Bytes and Evictions describe
-	// the store's live on-disk footprint and quota enforcement.
-	SharedHits      uint64 `json:"shared_hits,omitempty"`
-	SharedMisses    uint64 `json:"shared_misses,omitempty"`
-	SharedBytes     int64  `json:"shared_bytes,omitempty"`
-	SharedEvictions uint64 `json:"shared_evictions,omitempty"`
-	SharedSections  int    `json:"shared_sections,omitempty"`
-	SharedSegments  int    `json:"shared_segments,omitempty"`
+	// Result-cache counters (ostore.Stats). Hits and misses are lookups
+	// against the cache (a hit means the section was analyzed by some
+	// earlier job — with Options.Shared possibly in another process, by
+	// another tenant); Sections counts the live sections; Evictions counts
+	// sections dropped to enforce a tenant quota or the memory-only cache's
+	// byte bound; Bytes and Segments describe a shared tier's on-disk
+	// footprint and stay zero for the memory-only cache.
+	SharedHits      uint64 `json:"shared_hits"`
+	SharedMisses    uint64 `json:"shared_misses"`
+	SharedBytes     int64  `json:"shared_bytes"`
+	SharedEvictions uint64 `json:"shared_evictions"`
+	SharedSections  int    `json:"shared_sections"`
+	SharedSegments  int    `json:"shared_segments"`
 	// SharedTenants maps tenant names to their shared-tier counters.
 	SharedTenants map[string]ostore.TenantStats `json:"shared_tenants,omitempty"`
 	// ClientDisconnects counts response writes abandoned because the
@@ -193,7 +191,6 @@ type BenchmarkInfo struct {
 	Name            string   `json:"name"`
 	Variants        []string `json:"variants"`
 	PilotInaccuracy float64  `json:"pilot_inaccuracy,omitempty"`
-	CachedSections  int      `json:"cached_sections"`
 }
 
 // BuildFunc constructs the program for one benchmark version.
@@ -223,10 +220,9 @@ type Options struct {
 	// re-POSTed over a crashed or cancelled campaign merges the logged
 	// experiments and reports them as resumed_experiments.
 	WALDir string
-	// MaxCachedBenches bounds the per-benchmark store cache; the least
-	// recently used benchmark's store is evicted first. Benchmarks with a
-	// queued or running job are pinned and never evicted mid-merge.
-	// 0 means unlimited.
+	// Deprecated: ignored. The result cache is one content-addressed
+	// store bounded by bytes (Shared, or the memory-only default), not by
+	// benchmarks.
 	MaxCachedBenches int
 	// ConfigHook, when non-nil, is applied to every job's core.Config
 	// after the manager's own fields are set. Chaos tests use it to
@@ -234,19 +230,14 @@ type Options struct {
 	// experiment panic hooks.
 	ConfigHook func(*core.Config)
 	// Coordinator, when non-nil, runs every job's injection campaigns
-	// distributed: each section is sharded across the coordinator's
-	// registered workers (core.Config.SectionInjector). Distributed jobs
-	// bypass the per-benchmark store clone and invalidate it on
-	// completion — the merged campaign is authoritative, and reusing a
-	// stale cached section (e.g. a conservative poison fill from an
-	// earlier local run) would silently override re-executed results.
+	// distributed: each section the cache cannot serve is sharded across
+	// the coordinator's registered workers (core.Config.SectionInjector).
 	Coordinator *coord.Coordinator
-	// Shared, when non-nil, is the cross-process outcome tier behind
-	// every job's store snapshot: lookups fall through benchmark cache →
-	// shared tier → miss, and freshly analyzed sections are published
-	// back. The staged batch is flushed after every job. Distributed jobs
-	// skip the tier for the same reason they skip the benchmark cache.
-	// The Manager does not own the store; the caller closes it.
+	// Shared, when non-nil, is the result cache: a cross-process outcome
+	// tier every job looks sections up in and publishes freshly analyzed
+	// ones to; the staged batch is flushed after every job. The Manager
+	// does not own it; the caller closes it. When nil the Manager opens
+	// (and closes) a memory-only ostore with the default 64 MiB bound.
 	Shared *ostore.Store
 	// MaxTenantActive bounds one tenant's queued-plus-running jobs;
 	// submissions beyond it fail with ErrTenantQuota (HTTP 429). 0 means
@@ -310,28 +301,44 @@ type job struct {
 	watchers []chan JobView
 }
 
-// Manager owns the job queue, the worker pool, and the store cache.
+// Manager owns the job queue, the worker pool, and the result cache.
 type Manager struct {
 	opts  Options
+	cache *ostore.Store // opts.Shared, or a memory-only store the Manager owns
 	queue chan *job
 	wg    sync.WaitGroup
 
-	mu         sync.Mutex
-	closed     bool
-	nextID     int
-	jobs       map[string]*job
-	order      []string // submission order, for listing and FIFO eviction
-	stores     map[string]*store.Store
-	storeOrder []string // benchmark names, least recently used first
-	counters   Metrics  // cumulative fields only; gauges computed on demand
+	mu     sync.Mutex
+	closed bool
+	nextID int
+	jobs   map[string]*job
+	order  []string // submission order, for listing and FIFO eviction
+	// adjust is each benchmark's §4.10 state. Benchmark names come from
+	// Build, which rejects unknown ones, so the map stays small and is
+	// never evicted.
+	adjust   map[string]adjustState
+	counters Metrics // cumulative fields only; gauges computed on demand
+}
+
+// adjustState is the §4.10 state one benchmark carries from job to job:
+// the adjusted targets of its last full evaluation and the count of
+// modifications analyzed since (the paper's m_adj).
+type adjustState struct {
+	targets map[store.TargetKey]float64
+	mods    int
 }
 
 // New starts a Manager with opts.Workers job workers.
 func New(opts Options) *Manager {
 	m := &Manager{
 		opts:   opts.withDefaults(),
+		cache:  opts.Shared,
 		jobs:   make(map[string]*job),
-		stores: make(map[string]*store.Store),
+		adjust: make(map[string]adjustState),
+	}
+	if m.cache == nil {
+		// A memory-only store reads no file and cannot fail to open.
+		m.cache, _ = ostore.Open(ostore.Options{})
 	}
 	m.queue = make(chan *job, m.opts.QueueDepth)
 	for i := 0; i < m.opts.Workers; i++ {
@@ -546,20 +553,14 @@ func (m *Manager) Metrics() Metrics {
 	if mt.BatchDispatches > 0 {
 		mt.BatchReplicasAvg = float64(mt.BatchedExperiments) / float64(mt.BatchDispatches)
 	}
-	mt.StoreBenches = len(m.stores)
-	for _, st := range m.stores {
-		mt.StoreSections += len(st.Sections)
-	}
-	if m.opts.Shared != nil {
-		st := m.opts.Shared.Stats()
-		mt.SharedHits = st.Hits
-		mt.SharedMisses = st.Misses
-		mt.SharedBytes = st.Bytes
-		mt.SharedEvictions = st.Evictions
-		mt.SharedSections = st.Sections
-		mt.SharedSegments = st.Segments
-		mt.SharedTenants = st.Tenants
-	}
+	st := m.cache.Stats()
+	mt.SharedHits = st.Hits
+	mt.SharedMisses = st.Misses
+	mt.SharedBytes = st.Bytes
+	mt.SharedEvictions = st.Evictions
+	mt.SharedSections = st.Sections
+	mt.SharedSegments = st.Segments
+	mt.SharedTenants = st.Tenants
 	if m.opts.Coordinator != nil {
 		d := m.opts.Coordinator.Metrics()
 		mt.Dist = &d
@@ -567,11 +568,9 @@ func (m *Manager) Metrics() Metrics {
 	return mt
 }
 
-// Benchmarks describes the submittable benchmarks and their cache state.
+// Benchmarks describes the submittable benchmarks.
 func (m *Manager) Benchmarks() []BenchmarkInfo {
 	names := m.opts.ListBenchmarks()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]BenchmarkInfo, 0, len(names))
 	for _, n := range names {
 		info := BenchmarkInfo{
@@ -581,9 +580,6 @@ func (m *Manager) Benchmarks() []BenchmarkInfo {
 		for _, v := range bench.Variants {
 			info.Variants = append(info.Variants, string(v))
 		}
-		if st := m.stores[n]; st != nil {
-			info.CachedSections = len(st.Sections)
-		}
 		out = append(out, info)
 	}
 	return out
@@ -592,6 +588,8 @@ func (m *Manager) Benchmarks() []BenchmarkInfo {
 // Close drains the service: no new submissions, queued jobs are
 // cancelled, and running jobs are given until ctx is done to finish
 // before being hard-cancelled. Returns ctx.Err() if the drain timed out.
+// A cache the Manager opened itself is closed once every job has ended;
+// Options.Shared is left to its owner.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	if m.closed {
@@ -610,6 +608,9 @@ func (m *Manager) Close(ctx context.Context) error {
 	drained := make(chan struct{})
 	go func() {
 		m.wg.Wait()
+		if m.cache != m.opts.Shared {
+			m.cache.Close()
+		}
 		close(drained)
 	}()
 	select {
@@ -645,54 +646,39 @@ func (m *Manager) runJob(j *job) {
 	j.started = time.Now()
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
-	distributed := m.opts.Coordinator != nil
-	var snap *store.Store
-	var tier *tenantTier
-	if distributed {
-		// A distributed campaign is re-executed authoritatively across the
-		// fleet: it must not resolve sections from the per-benchmark clone,
-		// where a stale entry (a conservative poison fill, a section from a
-		// crashed local run) would mask the merged results.
-		snap = store.New()
-	} else {
-		snap = m.storeSnapshotLocked(j.req.Bench)
-		if m.opts.Shared != nil {
-			// The job's snapshot falls through to the shared tier on a
-			// benchmark-cache miss and publishes what it analyzes. The
-			// adapter carries this job's tenant for attribution and counts
-			// this job's traffic for its summary.
-			tier = &tenantTier{shared: m.opts.Shared, tenant: j.req.tenant()}
-			snap.WithTier(tier)
-		}
+	// The job's store starts empty in front of the cache, attributed to
+	// the job's tenant; the tier counts this job's lookups for its summary.
+	tier := m.cache.AsTier(j.req.tenant())
+	st := store.New().WithTier(tier)
+	if adj, ok := m.adjust[j.req.Bench]; ok {
+		st.AdjustedTargets = maps.Clone(adj.targets)
+		st.ModsSinceAdjust = adj.mods
 	}
 	m.notifyLocked(j)
 	m.mu.Unlock()
 	defer cancel()
 
-	r, evals, h, err, panicked := m.analyze(ctx, j, snap)
+	r, evals, h, err, panicked := m.analyze(ctx, j, st)
 
-	if m.opts.Shared != nil {
-		// Publish this job's staged sections before reporting it finished:
-		// the next process's lookup must see them. A failed flush keeps
-		// the batch staged (counted in shared stats), never fails the job.
-		_ = m.opts.Shared.Flush()
-	}
+	// Publish this job's staged sections before reporting it finished: the
+	// next lookup must see them. Sections completed before a cancellation
+	// are valid (their keys are content hashes), so a cancelled job still
+	// warms the cache for its retry. A failed flush keeps the batch staged
+	// (counted in the cache's stats), never fails the job.
+	_ = m.cache.Flush()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if distributed && r != nil && err == nil {
-		// The coordinator-merged campaign supersedes whatever the cache
-		// holds for this benchmark: invalidate the clone so the merge below
-		// replaces it instead of first-write-wins keeping stale sections.
-		m.invalidateStoreLocked(j.req.Bench)
+	// Fold the job's §4.10 state into the benchmark's key by key: a job
+	// that ran alongside this one may have adjusted targets for another
+	// ε. m_adj takes this job's count.
+	adj := m.adjust[j.req.Bench]
+	if adj.targets == nil {
+		adj.targets = make(map[store.TargetKey]float64)
 	}
-	// Sections completed before a cancellation are valid (their keys are
-	// content hashes), so merge the snapshot back unconditionally: a
-	// cancelled job still warms the cache for its retry. The tier is
-	// detached first — the cached store must stay tenant-neutral, and
-	// each job re-attaches its own adapter to its clone.
-	snap.WithTier(nil)
-	m.mergeStoreLocked(j.req.Bench, snap)
+	maps.Copy(adj.targets, st.AdjustedTargets)
+	adj.mods = st.ModsSinceAdjust
+	m.adjust[j.req.Bench] = adj
 	j.cancel = nil
 	switch {
 	case err == nil:
@@ -707,10 +693,8 @@ func (m *Manager) runJob(j *job) {
 			m.counters.HardenedJobs++
 			m.counters.DetectorTriggers += uint64(h.DetectorTriggers)
 		}
-		if tier != nil {
-			s.SharedHits = int(tier.hits.Load())
-			s.SharedMisses = int(tier.misses.Load())
-		}
+		s.SharedHits = tier.Hits()
+		s.SharedMisses = tier.Misses()
 		j.result = s
 		if n := len(s.Poisoned); n > 0 {
 			// The analysis completed (poisoned classes carry the
@@ -760,7 +744,7 @@ func (m *Manager) runJob(j *job) {
 // escapes — a harness bug in trace recording, composition, evaluation —
 // fails this job with the captured stack instead of killing the worker
 // goroutine (and with it the process).
-func (m *Manager) analyze(ctx context.Context, j *job, snap *store.Store) (r *core.Result, evals []core.TargetEval, h *core.HardenEval, err error, panicked bool) {
+func (m *Manager) analyze(ctx context.Context, j *job, st *store.Store) (r *core.Result, evals []core.TargetEval, h *core.HardenEval, err error, panicked bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r, evals, h = nil, nil, nil
@@ -770,7 +754,7 @@ func (m *Manager) analyze(ctx context.Context, j *job, snap *store.Store) (r *co
 	}()
 
 	a := core.NewAnalyzer(m.configFor(j.req))
-	a.Store = snap
+	a.Store = st
 	a.Progress = func(p core.Progress) {
 		m.mu.Lock()
 		j.progress = p
@@ -841,105 +825,6 @@ func (m *Manager) evictLocked() {
 	}
 }
 
-// storeSnapshotLocked clones the benchmark's cached store (or a fresh one)
-// for a job to analyze against without racing other jobs.
-func (m *Manager) storeSnapshotLocked(benchName string) *store.Store {
-	if st := m.stores[benchName]; st != nil {
-		m.touchStoreLocked(benchName)
-		return st.Clone()
-	}
-	return store.New()
-}
-
-// mergeStoreLocked folds a job's store snapshot back into the cache.
-// Section payloads are immutable, so first-write-wins is safe; adjusted
-// targets and the m_adj counter take the latest job's view. The merge
-// writes only into maps owned by m.stores under m.mu — a concurrent
-// DELETE (cancel) or bench eviction can never free the entry mid-merge,
-// because eviction also runs under m.mu and skips benchmarks with live
-// jobs.
-func (m *Manager) mergeStoreLocked(benchName string, snap *store.Store) {
-	cached := m.stores[benchName]
-	if cached == nil {
-		m.stores[benchName] = snap
-	} else {
-		for k, v := range snap.Sections {
-			if _, ok := cached.Sections[k]; !ok {
-				cached.Sections[k] = v
-			}
-		}
-		for k, v := range snap.AdjustedTargets {
-			cached.AdjustedTargets[k] = v
-		}
-		cached.ModsSinceAdjust = snap.ModsSinceAdjust
-	}
-	m.touchStoreLocked(benchName)
-	m.evictStoresLocked()
-}
-
-// InvalidateStore drops the cached per-benchmark store, reporting whether
-// an entry existed. It is the explicit hook behind the automatic
-// invalidation of distributed jobs: an operator (or test) can force the
-// next submission to re-derive every section instead of trusting cached
-// state known to be stale.
-func (m *Manager) InvalidateStore(benchName string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.invalidateStoreLocked(benchName)
-}
-
-func (m *Manager) invalidateStoreLocked(benchName string) bool {
-	if _, ok := m.stores[benchName]; !ok {
-		return false
-	}
-	delete(m.stores, benchName)
-	for i, n := range m.storeOrder {
-		if n == benchName {
-			m.storeOrder = append(m.storeOrder[:i], m.storeOrder[i+1:]...)
-			break
-		}
-	}
-	m.counters.StoreInvalidations++
-	return true
-}
-
-// touchStoreLocked moves benchName to the most-recently-used end of the
-// store cache order.
-func (m *Manager) touchStoreLocked(benchName string) {
-	for i, n := range m.storeOrder {
-		if n == benchName {
-			m.storeOrder = append(m.storeOrder[:i], m.storeOrder[i+1:]...)
-			break
-		}
-	}
-	m.storeOrder = append(m.storeOrder, benchName)
-}
-
-// evictStoresLocked drops least-recently-used benchmark stores beyond
-// MaxCachedBenches. A benchmark with a queued or running job is pinned:
-// its store may be about to receive that job's merge, and evicting it
-// would discard completed sections the retry could have reused.
-func (m *Manager) evictStoresLocked() {
-	if m.opts.MaxCachedBenches <= 0 {
-		return
-	}
-	pinned := make(map[string]bool)
-	for _, j := range m.jobs {
-		if !j.state.Terminal() {
-			pinned[j.req.Bench] = true
-		}
-	}
-	for i := 0; len(m.stores) > m.opts.MaxCachedBenches && i < len(m.storeOrder); {
-		name := m.storeOrder[i]
-		if pinned[name] {
-			i++
-			continue
-		}
-		delete(m.stores, name)
-		m.storeOrder = append(m.storeOrder[:i], m.storeOrder[i+1:]...)
-	}
-}
-
 func (m *Manager) configFor(req Request) core.Config {
 	cfg := core.DefaultConfig()
 	if len(req.Targets) > 0 {
@@ -966,33 +851,6 @@ func (m *Manager) configFor(req Request) core.Config {
 		m.opts.ConfigHook(&cfg)
 	}
 	return cfg
-}
-
-// tenantTier adapts the shared outcome store to the store.Tier interface
-// for one job, carrying the submitting tenant for attribution and
-// counting the job's own tier traffic (the shared store's counters are
-// global; a job's summary wants just its slice).
-type tenantTier struct {
-	shared *ostore.Store
-	tenant string
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-func (t *tenantTier) TierLookup(key store.Key) *store.Section {
-	sec := t.shared.Get(t.tenant, key)
-	if sec != nil {
-		t.hits.Add(1)
-	} else {
-		t.misses.Add(1)
-	}
-	return sec
-}
-
-func (t *tenantTier) TierPublish(key store.Key, sec *store.Section) {
-	// Staged only; the manager flushes after the job so the publish cost
-	// is off the analysis path. Errors surface through shared stats.
-	_ = t.shared.Put(t.tenant, key, sec)
 }
 
 // Readiness reports whether the service can usefully accept a new job:

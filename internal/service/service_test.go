@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fastflip/internal/core"
 	"fastflip/internal/prog"
 	"fastflip/internal/spec"
 	"fastflip/internal/testprog"
@@ -15,10 +18,14 @@ import (
 )
 
 // testBuild serves the two-section testprog pipeline as benchmark "pipe"
-// and a long-running single-section spin loop as benchmark "slow".
+// (variant "modified" changes its second section) and a long-running
+// single-section spin loop as benchmark "slow".
 func testBuild(name, variant string) (*spec.Program, error) {
 	switch name {
 	case "pipe":
+		if variant == "modified" {
+			return testprog.PipelineModified(), nil
+		}
 		return testprog.Pipeline(), nil
 	case "slow":
 		return slowProg(50000), nil
@@ -157,7 +164,7 @@ func TestJobLifecycleAndCacheReuse(t *testing.T) {
 	}
 
 	// A second submission of the same benchmark+variant must be served
-	// from the store cache: every section instance reused.
+	// from the result cache: every section instance reused.
 	v2, err := m.Submit(Request{Bench: "pipe", Variant: "none", Baseline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +185,8 @@ func TestJobLifecycleAndCacheReuse(t *testing.T) {
 	if mt.StoreHits != 2 || mt.StoreMisses != 2 {
 		t.Errorf("metrics: hits=%d misses=%d, want 2/2", mt.StoreHits, mt.StoreMisses)
 	}
-	if mt.StoreSections != 2 || mt.StoreBenches != 1 {
-		t.Errorf("metrics: sections=%d benches=%d, want 2/1", mt.StoreSections, mt.StoreBenches)
+	if mt.SharedSections != 2 || mt.SharedHits != 2 || mt.SharedMisses != 2 {
+		t.Errorf("metrics: cached sections=%d hits=%d misses=%d, want 2/2/2", mt.SharedSections, mt.SharedHits, mt.SharedMisses)
 	}
 	if mt.InjectionsRun == 0 || mt.SimInstrs == 0 {
 		t.Error("metrics: injection counters did not move")
@@ -407,17 +414,94 @@ func TestBenchmarksInfo(t *testing.T) {
 	}
 	waitDone(t, m, v.ID)
 	infos := m.Benchmarks()
-	if len(infos) != 2 {
-		t.Fatalf("got %d benchmarks, want 2", len(infos))
+	if len(infos) != 2 || infos[0].Name != "pipe" || infos[1].Name != "slow" {
+		t.Fatalf("benchmarks = %+v, want pipe and slow", infos)
 	}
-	byName := map[string]BenchmarkInfo{}
 	for _, info := range infos {
-		byName[info.Name] = info
+		if len(info.Variants) == 0 {
+			t.Errorf("%s lists no variants", info.Name)
+		}
 	}
-	if byName["pipe"].CachedSections != 2 {
-		t.Errorf("pipe cached sections = %d, want 2", byName["pipe"].CachedSections)
+	// The cache is content-addressed, not per benchmark: pipe's sections
+	// show in the manager-wide gauge.
+	if got := m.Metrics().SharedSections; got != 2 {
+		t.Errorf("cached sections = %d, want 2", got)
 	}
-	if byName["slow"].CachedSections != 0 {
-		t.Errorf("slow cached sections = %d, want 0", byName["slow"].CachedSections)
+}
+
+// TestAdjustedTargetsSurviveOtherBenchmarks: a benchmark's §4.10 state —
+// the adjusted targets of its last full evaluation and m_adj — is kept
+// per benchmark and never evicted, so a job on another benchmark in
+// between does not make a modified version recompute its targets.
+func TestAdjustedTargetsSurviveOtherBenchmarks(t *testing.T) {
+	opts := testOptions()
+	opts.MaxCachedBenches = 1 // ignored: §4.10 state is never evicted
+	m := New(opts)
+	defer closeManager(t, m)
+
+	first := waitDone(t, m, submit(t, m, Request{Bench: "pipe", Baseline: true}).ID)
+	if first.State != StateDone {
+		t.Fatalf("first job: %s (err %q)", first.State, first.Error)
+	}
+	if other := waitDone(t, m, submit(t, m, Request{Bench: "slowish"}).ID); other.State != StateDone {
+		t.Fatalf("other benchmark's job: %s (err %q)", other.State, other.Error)
+	}
+	checkStoredTargets(t, m, first, 0)
+}
+
+// TestConcurrentJobsKeepEachOthersAdjustedTargets: two jobs on one
+// benchmark that run at once with different ε each add their adjusted
+// targets to the benchmark's §4.10 state; the job that finishes last does
+// not drop the other's.
+func TestConcurrentJobsKeepEachOthersAdjustedTargets(t *testing.T) {
+	opts := testOptions()
+	opts.Workers = 2
+	// Hold the first two jobs until both have started, so both begin from
+	// the same empty §4.10 state.
+	var started sync.WaitGroup
+	started.Add(2)
+	var calls atomic.Int32
+	opts.ConfigHook = func(*core.Config) {
+		if calls.Add(1) <= 2 {
+			started.Done()
+			started.Wait()
+		}
+	}
+	m := New(opts)
+	defer closeManager(t, m)
+
+	epsilons := []float64{0, 0.5}
+	var ids []string
+	for _, eps := range epsilons {
+		ids = append(ids, submit(t, m, Request{Bench: "pipe", Baseline: true, Epsilon: eps}).ID)
+	}
+	firsts := make([]JobView, len(ids))
+	for i, id := range ids {
+		if firsts[i] = waitDone(t, m, id); firsts[i].State != StateDone {
+			t.Fatalf("ε=%v job: %s (err %q)", epsilons[i], firsts[i].State, firsts[i].Error)
+		}
+	}
+	for i, eps := range epsilons {
+		checkStoredTargets(t, m, firsts[i], eps)
+	}
+}
+
+// checkStoredTargets runs pipe's modified version at ε and requires its
+// targets to be the ones first adjusted, i.e. read from the §4.10 state
+// rather than recomputed.
+func checkStoredTargets(t *testing.T, m *Manager, first JobView, eps float64) {
+	t.Helper()
+	mod := waitDone(t, m, submit(t, m, Request{Bench: "pipe", Variant: "modified", Modified: true, Baseline: true, Epsilon: eps}).ID)
+	if mod.State != StateDone {
+		t.Fatalf("modified job at ε=%v: %s (err %q)", eps, mod.State, mod.Error)
+	}
+	want, got := first.Result.Targets, mod.Result.Targets
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("ε=%v targets: first %d, modified %d", eps, len(want), len(got))
+	}
+	for i := range want {
+		if got[i].Adjusted != want[i].Adjusted {
+			t.Errorf("ε=%v target %v: modified version adjusted to %v, first job to %v", eps, want[i].Target, got[i].Adjusted, want[i].Adjusted)
+		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 	"fastflip/internal/ostore"
 )
 
-// openShared opens an ostore handle over dir and closes it with the test.
+// openShared opens an ostore handle over dir (memory-only when dir is
+// empty) and closes it with the test.
 func openShared(t *testing.T, dir string) *ostore.Store {
 	t.Helper()
 	s, err := ostore.Open(ostore.Options{Dir: dir})
@@ -28,10 +29,10 @@ func openShared(t *testing.T, dir string) *ostore.Store {
 // between a fresh analysis and one served from the tier zeroed (the
 // baseline speedup is derived from FastFlip's accounted cost). Everything
 // analytical — outcomes, targets, selections — must be byte-identical.
-// The run must otherwise be plain (CheckRun).
-func summaryJSON(t *testing.T, s *core.Summary) string {
+// The run must otherwise be plain beyond allow (CheckRun).
+func summaryJSON(t *testing.T, s *core.Summary, allow core.Allow) string {
 	t.Helper()
-	if err := s.CheckRun(0); err != nil {
+	if err := s.CheckRun(allow); err != nil {
 		t.Fatal(err)
 	}
 	c := *s
@@ -101,30 +102,59 @@ func TestSharedTierAcrossManagers(t *testing.T) {
 	if rB.SharedHits != 2 || rB.SharedMisses != 0 {
 		t.Errorf("warm run: shared_hits=%d shared_misses=%d, want 2/0", rB.SharedHits, rB.SharedMisses)
 	}
-	if a, b := summaryJSON(t, rA), summaryJSON(t, rB); a != b {
+	if a, b := summaryJSON(t, rA, 0), summaryJSON(t, rB, 0); a != b {
 		t.Errorf("summaries diverge across the shared tier:\n A %s\n B %s", a, b)
 	}
 
-	// Within manager B the benchmark cache now sits in front of the tier:
-	// a third run reuses everything without touching the shared store.
+	// The shared tier is manager B's only cache: a third run reuses
+	// everything, and every reuse is a tier hit.
 	vB2, err := mB.Submit(Request{Bench: "pipe", Baseline: true, Tenant: "bob"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotB2 := waitDone(t, mB, vB2.ID)
-	if r := gotB2.Result; r.Reused != 2 || r.SharedHits != 0 {
-		t.Errorf("cached run: reused=%d shared_hits=%d, want 2/0", r.Reused, r.SharedHits)
+	if r := gotB2.Result; r.Reused != 2 || r.SharedHits != 2 {
+		t.Errorf("cached run: reused=%d shared_hits=%d, want 2/2", r.Reused, r.SharedHits)
 	}
 
 	mt := mB.Metrics()
-	if mt.SharedHits != 2 {
-		t.Errorf("metrics shared_hits = %d, want 2", mt.SharedHits)
+	if mt.SharedHits != 4 {
+		t.Errorf("metrics shared_hits = %d, want 4", mt.SharedHits)
 	}
 	if mt.SharedSections == 0 || mt.SharedBytes == 0 {
 		t.Errorf("shared gauges did not move: sections=%d bytes=%d", mt.SharedSections, mt.SharedBytes)
 	}
-	if ts := mt.SharedTenants["bob"]; ts.Hits != 2 {
-		t.Errorf("tenant bob shared hits = %d, want 2", ts.Hits)
+	if ts := mt.SharedTenants["bob"]; ts.Hits != 4 {
+		t.Errorf("tenant bob shared hits = %d, want 4", ts.Hits)
+	}
+}
+
+// TestSharedHitsEqualReused: with or without Options.Shared, the cache is
+// the only place a job reuses sections from, so its shared_hits equal its
+// reused instances and its shared_misses its injected ones.
+func TestSharedHitsEqualReused(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		opts := testOptions()
+		if dir != "" {
+			opts.Shared = openShared(t, dir)
+		}
+		m := New(opts)
+		for i := 0; i < 2; i++ {
+			got := waitDone(t, m, submit(t, m, Request{Bench: "pipe"}).ID)
+			r := got.Result
+			if got.State != StateDone || r.SharedHits != r.Reused || r.SharedMisses != r.Injected || r.Instances != 2 {
+				t.Errorf("shared=%v job %d: %s, shared_hits=%d reused=%d shared_misses=%d injected=%d",
+					dir != "", i, got.State, r.SharedHits, r.Reused, r.SharedMisses, r.Injected)
+			}
+			if want := 2 * i; r.Reused != want {
+				t.Errorf("shared=%v job %d reused %d sections, want %d", dir != "", i, r.Reused, want)
+			}
+		}
+		if mt := m.Metrics(); mt.SharedHits != 2 || mt.SharedMisses != 2 || mt.SharedSections != 2 {
+			t.Errorf("shared=%v metrics: hits=%d misses=%d sections=%d, want 2/2/2",
+				dir != "", mt.SharedHits, mt.SharedMisses, mt.SharedSections)
+		}
+		closeManager(t, m)
 	}
 }
 

@@ -214,8 +214,7 @@ func (s *Store) Clone() *Store {
 
 // Lookup returns the stored section for key, or nil. A miss in the
 // in-memory map falls through to the attached tier (if any); a tier hit
-// is promoted into Sections so the analysis — and the per-benchmark cache
-// it merges back into — serves repeats locally.
+// is promoted into Sections so the analysis serves repeats locally.
 func (s *Store) Lookup(key Key) *Section {
 	if sec := s.Sections[key]; sec != nil {
 		return sec
