@@ -217,7 +217,7 @@ func (inj *Injector) Section(m *vm.Machine, inst *trace.Instance, site sites.Sit
 // and classifies the section-level outcome; live is liveSpans(inst).
 func (inj *Injector) sectionFinish(m *vm.Machine, inst *trace.Instance, live []span) metrics.Outcome {
 	for {
-		ev := m.Step()
+		ev := m.RunToEvent(vm.NoStop)
 		switch ev.Kind {
 		case vm.EvSecEnd:
 			if ev.Sec != inst.Sec {
@@ -264,7 +264,7 @@ func (inj *Injector) coRunFinish(m *vm.Machine, inst *trace.Instance, live []spa
 	t := inj.T
 	secDone := false
 	for {
-		ev := m.Step()
+		ev := m.RunToEvent(vm.NoStop)
 		switch ev.Kind {
 		case vm.EvSecEnd:
 			if secDone {

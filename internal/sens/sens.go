@@ -172,7 +172,7 @@ func perturb(rng *rand.Rand, m *vm.Machine, b spec.Buffer, phiMax float64) float
 // It reports false if execution terminates first.
 func runToSecEnd(m *vm.Machine, sec int) bool {
 	for {
-		ev := m.Step()
+		ev := m.RunToEvent(vm.NoStop)
 		switch ev.Kind {
 		case vm.EvSecEnd:
 			if ev.Sec == sec {

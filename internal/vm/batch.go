@@ -3,17 +3,24 @@
 // A Batch advances K faulty replicas that share one clean prefix. All
 // replicas fork from the same positioned machine, so while their control
 // flow agrees they share one PC, one dynamic counter, and one call stack;
-// only the register files differ (structure-of-arrays, one slice per
-// architectural register) and the memory words some replica has written
-// (one column of K values per such word, over the shared read-only base
-// memory). Each opcode is fetched and decoded once per batch and applied
-// to every active replica, amortizing dispatch.
+// only register values and the memory words some replica has written can
+// differ. Each opcode is fetched and decoded once per batch and applied to
+// the active set.
+//
+// Most of the time the replicas differ in only a few places: a flip's
+// corruption stays in a handful of registers and words. So each register
+// (and each memory word the batch writes) is held either as one value
+// shared by every active replica or as a column of per-replica values.
+// An instruction whose inputs are all shared runs once, in O(1); only an
+// instruction that reads a column loops over the active replicas, and a
+// column whose results all agree settles back into a shared value.
 //
 // A replica leaves the lockstep set when its execution stops matching the
 // group's: a private crash (division by zero, out-of-bounds access from a
 // flipped base register) freezes it as Crashed exactly as a scalar Step
 // would have, and a branch that decides differently from the group
-// detaches it Running at its own target. The batch as a whole stops
+// detaches it Running at its own target. A detached replica's registers
+// and the memory words it sees stop changing. The batch as a whole stops
 // *before* anything the scalar experiment driver must observe itself —
 // SECEND and HALT events, a shared PC out of bounds, the MaxDyn timeout,
 // call-stack crashes — so a replica materialized out of the batch and
@@ -27,19 +34,31 @@ import "fastflip/internal/isa"
 // Batch is K replicas advancing in lockstep from a shared fork point. A
 // Batch is reusable: Reset re-forks it, recycling every buffer.
 type Batch struct {
-	code []isa.Instr
-	base *Machine // fork-point machine; its memory is the shared base, never written
+	code  []op
+	base  *Machine // fork-point machine; its memory is the shared base, never written
+	limit uint64   // exclusive bound of register-addressed loads and stores
 
-	n       int
-	r       [isa.NumRegs][]uint64 // r[reg][replica]
-	f       [isa.NumRegs][]uint64
-	regBack []uint64 // backing store of r and f
+	n int
 
-	// Memory is laid out like the register files: mem[addr] is nil until
-	// some replica stores to word addr, then a column of n values seeded
-	// from base.Mem[addr], so a replica that never wrote the word still
-	// reads the base value through it. touched lists the addresses that
-	// have a column; columns are carved from chunks kept across Resets.
+	// Registers, indexed by register slot. While shared[s] holds, every
+	// active replica's value is val[s]; otherwise col[s][k] is replica
+	// k's (col[s] is one n-wide stretch of regBack). A detached replica's
+	// registers are its own column entries, which only it writes. The
+	// noReg slot of absent operands stays shared at zero and has no
+	// column.
+	shared  [numSlots]bool
+	val     [numSlots]uint64
+	col     [numSlots][]uint64
+	regBack []uint64
+
+	// Memory: mem[addr] is nil until the batch stores to word addr. A
+	// word every replica sees with the same value holds it as a one-word
+	// slice; any other written word holds a column of n values, seeded
+	// with what each replica saw before. A shared store makes the word
+	// one-word (a column keeps its capacity to regrow) only while no
+	// replica has detached, so a detached replica's view never changes.
+	// touched lists each written address once; words are carved from
+	// chunks kept across Resets.
 	mem     [][]uint64
 	touched []uint64
 	chunks  [][]uint64
@@ -69,23 +88,24 @@ const colChunk = 4096
 
 // NewBatch forks n replicas off the positioned machine base. The base must
 // be Running; it is not mutated (reads go through it, writes go to the
-// replica memory columns).
+// batch's own memory words).
 func NewBatch(base *Machine, n int) *Batch { return new(Batch).Reset(base, n) }
 
 // Reset re-forks b as n replicas off base, exactly as NewBatch would, but
 // reusing b's buffers. It returns b.
 func (b *Batch) Reset(base *Machine, n int) *Batch {
-	b.code, b.base, b.n = base.Code, base, n
+	b.code, b.base, b.limit, b.n = base.code, base, base.memLimit(), n
 
-	b.regBack = grow(b.regBack, 2*isa.NumRegs*n)
-	for reg := 0; reg < isa.NumRegs; reg++ {
-		b.r[reg] = b.regBack[2*reg*n : (2*reg+1)*n]
-		b.f[reg] = b.regBack[(2*reg+1)*n : (2*reg+2)*n]
-		for k := 0; k < n; k++ {
-			b.r[reg][k] = base.R[reg]
-			b.f[reg][k] = base.F[reg]
-		}
+	b.regBack = grow(b.regBack, noReg*n)
+	for s := 0; s < noReg; s++ {
+		b.col[s] = b.regBack[s*n : (s+1)*n : (s+1)*n]
 	}
+	for s := range b.shared {
+		b.shared[s] = true
+	}
+	copy(b.val[:isa.NumRegs], base.R[:])
+	copy(b.val[isa.NumRegs:], base.F[:])
+	b.val[noReg] = 0
 
 	for _, addr := range b.touched {
 		b.mem[addr] = nil
@@ -132,51 +152,108 @@ func (b *Batch) Steps() uint64 { return b.steps }
 func (b *Batch) ActiveCount() int { return len(b.active) }
 
 // FlipInt flips one bit of replica k's integer register reg.
-func (b *Batch) FlipInt(k, reg int, bit uint) { b.r[reg][k] ^= 1 << bit }
+func (b *Batch) FlipInt(k, reg int, bit uint) { b.flip(k, reg, bit) }
 
 // FlipFloat flips one bit of replica k's float register reg.
-func (b *Batch) FlipFloat(k, reg int, bit uint) { b.f[reg][k] ^= 1 << bit }
+func (b *Batch) FlipFloat(k, reg int, bit uint) { b.flip(k, isa.NumRegs+reg, bit) }
 
-// load reads replica k's view of memory word addr.
-func (b *Batch) load(k int, addr uint64) uint64 {
-	if col := b.mem[addr]; col != nil {
-		return col[k]
+// flip flips one bit of replica k's register in slot s, first giving a
+// shared register a column if k is active.
+func (b *Batch) flip(k, s int, bit uint) {
+	if b.shared[s] && !b.detached[k] {
+		v, c := b.val[s], b.col[s]
+		for _, j := range b.active {
+			c[j] = v
+		}
+		b.shared[s] = false
 	}
-	return b.base.Mem[addr]
+	b.col[s][k] ^= 1 << bit
 }
 
-// store writes v to replica k's view of memory word addr.
-func (b *Batch) store(k int, addr, v uint64) {
-	col := b.mem[addr]
-	if col == nil {
-		col = b.column(addr)
+// view returns register slot s as a slice and an index mask: replica k's
+// value is v[k&mask]. A shared register is its one value (mask 0), so a
+// loop over the active set reads shared and column operands alike.
+func (b *Batch) view(s uint8) (v []uint64, mask int) {
+	if b.shared[s] {
+		return b.val[s : s+1], 0
 	}
-	col[k] = v
+	return b.col[s], -1
 }
 
-// column gives word addr its replica column, every entry holding the base
-// value, carved from the current chunk.
-func (b *Batch) column(addr uint64) []uint64 {
-	for b.chunk < len(b.chunks) && b.used+b.n > len(b.chunks[b.chunk]) {
+// settle finishes a loop that wrote col[s] for every active replica: the
+// register is shared again if the loop found every result equal to v.
+func (b *Batch) settle(s uint8, same bool, v uint64) {
+	b.shared[s] = same
+	b.val[s] = v
+}
+
+// carve hands out w words of column storage from the current chunk.
+func (b *Batch) carve(w int) []uint64 {
+	for b.chunk < len(b.chunks) && b.used+w > len(b.chunks[b.chunk]) {
 		b.chunk++
 		b.used = 0
 	}
 	if b.chunk == len(b.chunks) {
-		b.chunks = append(b.chunks, make([]uint64, max(colChunk, b.n)))
+		b.chunks = append(b.chunks, make([]uint64, max(colChunk, w)))
 	}
-	col := b.chunks[b.chunk][b.used : b.used+b.n : b.used+b.n]
-	b.used += b.n
-	v := b.base.Mem[addr]
-	for k := range col {
-		col[k] = v
+	c := b.chunks[b.chunk][b.used : b.used+w : b.used+w]
+	b.used += w
+	return c
+}
+
+// word returns the value of memory word addr that every replica sees,
+// and whether they all see the same one; if not, mem[addr] is a column.
+func (b *Batch) word(addr uint64) (uint64, bool) {
+	switch c := b.mem[addr]; {
+	case c == nil:
+		return b.base.Mem[addr], true
+	case len(c) == 1:
+		return c[0], true
 	}
-	b.mem[addr] = col
-	b.touched = append(b.touched, addr)
-	return col
+	return 0, false
+}
+
+// read returns replica k's view of memory word addr.
+func (b *Batch) read(k int, addr uint64) uint64 {
+	switch c := b.mem[addr]; len(c) {
+	case 0:
+		return b.base.Mem[addr]
+	case 1:
+		return c[0]
+	default:
+		return c[k]
+	}
+}
+
+// memColumn returns word addr's column, giving the word one seeded with
+// what every replica sees if it has none. A word that settled from a
+// column regrows in place.
+func (b *Batch) memColumn(addr uint64) []uint64 {
+	c := b.mem[addr]
+	if len(c) == b.n {
+		return c
+	}
+	v, _ := b.word(addr)
+	switch {
+	case c == nil:
+		b.touched = append(b.touched, addr)
+		c = b.carve(b.n)
+	case cap(c) >= b.n:
+		c = c[:b.n]
+	default:
+		c = b.carve(b.n)
+	}
+	for k := range c {
+		c[k] = v
+	}
+	b.mem[addr] = c
+	return c
 }
 
 // detach freezes replica k out of the lockstep set at the given pc with
-// the current (already advanced) dynamic counter.
+// the current (already advanced) dynamic counter. Its shared registers
+// are copied into its column entries, which hold its registers from now
+// on.
 func (b *Batch) detach(k, pc int, st Status, ck CrashKind) {
 	b.detached[k] = true
 	b.status[k] = st
@@ -184,15 +261,20 @@ func (b *Batch) detach(k, pc int, st Status, ck CrashKind) {
 	b.pcs[k] = pc
 	b.dyns[k] = b.dyn
 	b.stacks[k] = append(b.stacks[k][:0], b.stack...)
+	for s := 0; s < noReg; s++ {
+		if b.shared[s] {
+			b.col[s][k] = b.val[s]
+		}
+	}
 }
 
-// regs returns the per-replica column of register r of class c. An absent
-// operand (RegNone) reads an integer column the op ignores.
-func (b *Batch) regs(c isa.RegClass, r uint8) []uint64 {
-	if c == isa.RegFloat {
-		return b.f[r&regMask]
+// detachAll detaches every active replica Crashed with kind ck at the
+// current pc: a crash whose inputs all replicas share.
+func (b *Batch) detachAll(ck CrashKind) {
+	for _, k := range b.active {
+		b.detach(k, b.pc, Crashed, ck)
 	}
-	return b.r[r&regMask]
+	b.active = b.active[:0]
 }
 
 // Step executes one instruction in lockstep across the active set. It
@@ -211,25 +293,23 @@ func (b *Batch) Step() bool {
 	if b.maxDyn > 0 && b.dyn >= b.maxDyn {
 		return false
 	}
-	in := b.code[b.pc]
-	s := isa.Sem(in.Op)
+	o := &b.code[b.pc]
 	next := b.pc + 1
-	x := execOf[in.Op]
-	switch x {
+	switch o.x {
 	case xIntKernel, xFloatKernel, xKernel, xIntBranch, xFloatBranch,
 		xLoad, xLoadAbs, xStore, xStoreAbs:
-		// Table semantics, applied per replica below.
+		// Table semantics, applied to the active set below.
 	case xNop, xSecBeg, xROIBeg, xROIEnd:
 		// Markers carry no architectural effect; their events only
 		// matter to the scalar driver at batch boundaries.
 	case xJmp:
-		next = int(in.Imm)
+		next = int(o.imm)
 	case xCall:
 		if len(b.stack) >= maxCallDepth {
 			return false
 		}
 		b.stack = append(b.stack, next)
-		next = int(in.Imm)
+		next = int(o.imm)
 	case xRet:
 		if len(b.stack) == 0 {
 			return false
@@ -245,85 +325,178 @@ func (b *Batch) Step() bool {
 
 	b.dyn++
 	b.steps++
-	switch x {
+	switch o.x {
 	case xIntKernel, xFloatKernel, xKernel:
-		b.kernel(s, in)
+		b.kernel(o)
 	case xIntBranch, xFloatBranch:
-		next = b.branch(s, in, next)
-	case xLoad, xLoadAbs, xStore, xStoreAbs:
-		b.memory(x, s, in)
+		next = b.branch(o, next)
+	case xLoad, xLoadAbs:
+		b.load(o)
+	case xStore, xStoreAbs:
+		b.store(o)
 	}
 	b.pc = next
 	return true
 }
 
-// kernel applies the op's kernel to every active replica. A replica whose
+// kernel applies the op's kernel to the active set. A replica whose
 // divisor is zero under a DivZero op detaches Crashed, as a scalar Step
-// would crash.
+// would crash, keeping its destination register's old value.
 //
-// Replicas mostly agree on an instruction's inputs — each differs from the
-// lead only where its flip has propagated — and kernels are pure, so a
-// replica with the lead's inputs takes the lead's result without a call.
-// (DIV and REM, which can detach replicas, are rare enough to call per
-// replica.)
-func (b *Batch) kernel(s *isa.OpInfo, in isa.Instr) {
-	rd := b.regs(s.Dst, in.Rd)
-	ra, rb := b.regs(s.SrcA, in.Ra), b.regs(s.SrcB, in.Rb)
-	kern, imm := s.Kernel, in.Imm
-	if s.DivZero {
+// With both sources shared the kernel runs once. Otherwise replicas still
+// mostly agree on the inputs — each differs from the lead only where its
+// flip has propagated — and kernels are pure, so a replica with the lead's
+// inputs takes the lead's result without a call. (DIV and REM, which can
+// detach replicas, are rare enough to call per replica.)
+func (b *Batch) kernel(o *op) {
+	if b.shared[o.ra] && b.shared[o.rb] {
+		x, y := b.val[o.ra], b.val[o.rb]
+		if o.divZero && y == 0 {
+			b.detachAll(CrashDivZero)
+			return
+		}
+		b.shared[o.rd], b.val[o.rd] = true, o.kern(x, y, o.imm)
+		return
+	}
+	ra, ma := b.view(o.ra)
+	rb, mb := b.view(o.rb)
+	rd, kern, imm := b.col[o.rd], o.kern, o.imm
+	if o.divZero {
 		keep := b.active[:0]
+		same, first := true, uint64(0)
 		for _, k := range b.active {
-			if rb[k] == 0 {
+			y := rb[k&mb]
+			if y == 0 {
 				b.detach(k, b.pc, Crashed, CrashDivZero)
 				continue
 			}
-			rd[k] = kern(ra[k], rb[k], imm)
+			r := kern(ra[k&ma], y, imm)
+			rd[k] = r
+			if len(keep) == 0 {
+				first = r
+			}
+			same = same && r == first
 			keep = append(keep, k)
+		}
+		if len(keep) > 0 {
+			b.settle(o.rd, same, first)
 		}
 		b.active = keep
 		return
 	}
 	lead := b.active[0]
-	la, lb := ra[lead], rb[lead]
+	la, lb := ra[lead&ma], rb[lead&mb]
 	lr := kern(la, lb, imm)
+	same := true
 	for _, k := range b.active {
-		if a, bv := ra[k], rb[k]; a != la || bv != lb {
-			rd[k] = kern(a, bv, imm)
-		} else {
-			rd[k] = lr
+		r := lr
+		if x, y := ra[k&ma], rb[k&mb]; x != la || y != lb {
+			r = kern(x, y, imm)
+			same = same && r == lr
 		}
+		rd[k] = r
 	}
+	b.settle(o.rd, same, lr)
 }
 
-// memory performs a load or store for every active replica through the
-// replica memory columns. A replica whose address falls out of bounds
-// detaches Crashed.
-func (b *Batch) memory(x exec, s *isa.OpInfo, in isa.Instr) {
-	load := x == xLoad || x == xLoadAbs
-	val, baseReg := b.regs(s.SrcA, in.Ra), in.Rb
-	if load {
-		val, baseReg = b.regs(s.Dst, in.Rd), in.Ra
+// address returns the base register of a memory op (the shared noReg
+// slot, reading zero, for the absolute forms) and the address bound.
+func (b *Batch) address(o *op) (base uint8, limit uint64) {
+	switch o.x {
+	case xLoad:
+		return o.ra, b.limit
+	case xStore:
+		return o.rb, b.limit
 	}
-	var base []uint64 // nil for the absolute forms
-	limit := uint64(len(b.base.Mem))
-	if x == xLoad || x == xStore {
-		base, limit = b.r[baseReg], b.base.memLimit()
-	}
-	keep := b.active[:0]
-	for _, k := range b.active {
-		addr := uint64(in.Imm)
-		if base != nil {
-			addr += base[k]
+	return noReg, uint64(len(b.base.Mem))
+}
+
+// load performs a load for the active set. A replica whose address falls
+// out of bounds detaches Crashed, keeping its destination register.
+func (b *Batch) load(o *op) {
+	base, limit := b.address(o)
+	rd := b.col[o.rd]
+	if b.shared[base] {
+		addr := b.val[base] + uint64(o.imm)
+		if addr >= limit {
+			b.detachAll(CrashMemOOB)
+			return
 		}
+		if v, ok := b.word(addr); ok {
+			b.shared[o.rd], b.val[o.rd] = true, v
+			return
+		}
+		c := b.mem[addr]
+		first := c[b.active[0]]
+		same := true
+		for _, k := range b.active {
+			rd[k] = c[k]
+			same = same && c[k] == first
+		}
+		b.settle(o.rd, same, first)
+		return
+	}
+	bases := b.col[base]
+	keep := b.active[:0]
+	same, first := true, uint64(0)
+	for _, k := range b.active {
+		addr := bases[k] + uint64(o.imm)
 		if addr >= limit {
 			b.detach(k, b.pc, Crashed, CrashMemOOB)
 			continue
 		}
-		if load {
-			val[k] = b.load(k, addr)
-		} else {
-			b.store(k, addr, val[k])
+		v := b.read(k, addr)
+		rd[k] = v
+		if len(keep) == 0 {
+			first = v
 		}
+		same = same && v == first
+		keep = append(keep, k)
+	}
+	if len(keep) > 0 {
+		b.settle(o.rd, same, first)
+	}
+	b.active = keep
+}
+
+// store performs a store for the active set. A replica whose address
+// falls out of bounds detaches Crashed.
+func (b *Batch) store(o *op) {
+	base, limit := b.address(o)
+	vals, mv := b.view(o.ra)
+	if b.shared[base] {
+		addr := b.val[base] + uint64(o.imm)
+		if addr >= limit {
+			b.detachAll(CrashMemOOB)
+			return
+		}
+		if mv == 0 && len(b.active) == b.n {
+			// Every replica stores the same value: one word holds it,
+			// and a column settles back into its first word.
+			c := b.mem[addr]
+			if c == nil {
+				c = b.carve(1)
+				b.touched = append(b.touched, addr)
+			}
+			c[0] = vals[0]
+			b.mem[addr] = c[:1]
+			return
+		}
+		c := b.memColumn(addr)
+		for _, k := range b.active {
+			c[k] = vals[k&mv]
+		}
+		return
+	}
+	bases := b.col[base]
+	keep := b.active[:0]
+	for _, k := range b.active {
+		addr := bases[k] + uint64(o.imm)
+		if addr >= limit {
+			b.detach(k, b.pc, Crashed, CrashMemOOB)
+			continue
+		}
+		b.memColumn(addr)[k] = vals[k&mv]
 		keep = append(keep, k)
 	}
 	b.active = keep
@@ -332,16 +505,24 @@ func (b *Batch) memory(x exec, s *isa.OpInfo, in isa.Instr) {
 // branch partitions the active set by branch decision: the subset agreeing
 // with the first active replica stays in lockstep, the rest detach Running
 // at their own targets (the branch itself already executed for them).
-func (b *Batch) branch(s *isa.OpInfo, in isa.Instr, fallthru int) int {
-	ra, rb := b.regs(s.SrcA, in.Ra), b.regs(s.SrcB, in.Rb)
+func (b *Batch) branch(o *op, fallthru int) int {
+	target := int(o.imm)
+	if b.shared[o.ra] && b.shared[o.rb] {
+		if o.cond(b.val[o.ra], b.val[o.rb]) {
+			return target
+		}
+		return fallthru
+	}
+	ra, ma := b.view(o.ra)
+	rb, mb := b.view(o.rb)
 	lead := b.active[0]
-	la, lb := ra[lead], rb[lead]
-	groupTaken := s.Cond(la, lb)
+	la, lb := ra[lead&ma], rb[lead&mb]
+	groupTaken := o.cond(la, lb)
 	keep := b.active[:0]
 	for _, k := range b.active {
 		t := groupTaken
-		if ra[k] != la || rb[k] != lb {
-			t = s.Cond(ra[k], rb[k])
+		if x, y := ra[k&ma], rb[k&mb]; x != la || y != lb {
+			t = o.cond(x, y)
 		}
 		if t == groupTaken {
 			keep = append(keep, k)
@@ -349,13 +530,13 @@ func (b *Batch) branch(s *isa.OpInfo, in isa.Instr, fallthru int) int {
 		}
 		tgt := fallthru
 		if t {
-			tgt = int(in.Imm)
+			tgt = target
 		}
 		b.detach(k, tgt, Running, CrashNone)
 	}
 	b.active = keep
 	if groupTaken {
-		return int(in.Imm)
+		return target
 	}
 	return fallthru
 }
@@ -374,11 +555,15 @@ func (b *Batch) Run() {
 // revert the materialization with UndoJournal exactly like a scalar
 // experiment fork.
 func (b *Batch) MaterializeInto(k int, m *Machine) {
-	for reg := 0; reg < isa.NumRegs; reg++ {
-		m.R[reg] = b.r[reg][k]
-		m.F[reg] = b.f[reg][k]
+	detached := b.detached[k]
+	for s := 0; s < noReg; s++ {
+		v := b.col[s][k]
+		if b.shared[s] && !detached {
+			v = b.val[s]
+		}
+		m.setReg(uint8(s), v)
 	}
-	if b.detached[k] {
+	if detached {
 		m.PC = b.pcs[k]
 		m.Dyn = b.dyns[k]
 		m.Stack = append(m.Stack[:0], b.stacks[k]...)
@@ -392,7 +577,7 @@ func (b *Batch) MaterializeInto(k int, m *Machine) {
 		m.Crash = CrashNone
 	}
 	for _, addr := range b.touched {
-		v := b.mem[addr][k]
+		v := b.read(k, addr)
 		if v == b.base.Mem[addr] {
 			continue
 		}

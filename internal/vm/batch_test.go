@@ -473,21 +473,28 @@ func storeProg(t testing.TB, words int64) *prog.Linked {
 }
 
 // BenchmarkBatchStep runs one batch per iteration through a reused Batch,
-// as the injection engine does. The store cases also materialize every
-// replica onto a journaling fork and undo it, so they measure the whole
-// memory-column path on a 12 KiB buffer.
+// as the injection engine does. The k cases flip the divisor r7, so every
+// replica computes its own quotients, mixes and stored words, all in
+// lockstep; the shared cases flip r12, which the loop never reads, so
+// every step's inputs are shared by the whole batch. The store cases also materialize
+// every replica onto a journaling fork and undo it, so they measure the
+// whole memory-column path on a 12 KiB buffer.
 func BenchmarkBatchStep(b *testing.B) {
 	l := batchProg(b)
 	fork := New(l.Code, l.Entry, 32)
-	for _, width := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("k%d", width), func(b *testing.B) {
+	fork.RunUntilDyn(4) // past the prologue that sets r7
+	for _, c := range []struct {
+		name       string
+		reg, width int
+	}{{"k1", 7, 1}, {"k8", 7, 8}, {"k32", 7, 32}, {"shared/k8", 12, 8}, {"shared/k32", 12, 32}} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			bt := new(Batch)
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				bt.Reset(fork, width)
-				for k := 0; k < width; k++ {
-					bt.FlipInt(k, 4, uint(k%64))
+				bt.Reset(fork, c.width)
+				for k := 0; k < c.width; k++ {
+					bt.FlipInt(k, c.reg, uint(k%64))
 				}
 				bt.Run()
 				steps += int(bt.Steps())
@@ -521,5 +528,247 @@ func BenchmarkBatchStep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// checkReplica materializes replica k onto a copy of fork and checks it
+// against a scalar machine that took the same flip at the fork: run to the
+// replica's dynamic count if it is still running, else to termination.
+func checkReplica(t *testing.T, fork *Machine, b *Batch, k int, flip func(*Machine)) *Machine {
+	t.Helper()
+	got := fork.Clone()
+	b.MaterializeInto(k, got)
+	want := fork.Clone()
+	flip(want)
+	if got.Status == Running {
+		want.RunUntilDyn(got.Dyn)
+	} else {
+		want.Run()
+	}
+	if !sameState(got, want) {
+		t.Fatalf("replica %d: materialized %v/%v pc %d dyn %d r=%v mem=%v, scalar %v/%v pc %d dyn %d r=%v mem=%v",
+			k, got.Status, got.Crash, got.PC, got.Dyn, got.R, got.Mem,
+			want.Status, want.Crash, want.PC, want.Dyn, want.R, want.Mem)
+	}
+	return got
+}
+
+// TestBatchDetachedReplicaKeepsItsState: replicas that leave the lockstep
+// set — one crashing on a zero divisor, one on an out-of-bounds load, one
+// branching away — keep the registers and memory they had when they left,
+// although the group goes on to rewrite a shared register and to store
+// shared values over a word every replica shared before. The crashing
+// replicas also keep the old shared value of the destination register.
+func TestBatchDetachedReplicaKeepsItsState(t *testing.T) {
+	code := []isa.Instr{
+		{Op: isa.LI, Rd: 1, Imm: 0},          // 0: store base
+		{Op: isa.LI, Rd: 2, Imm: 5},          // 1: stored value
+		{Op: isa.LI, Rd: 7, Imm: 1},          // 2: divisor
+		{Op: isa.LI, Rd: 5, Imm: 77},         // 3: DIV destination
+		{Op: isa.LI, Rd: 6, Imm: 33},         // 4: LD destination
+		{Op: isa.LI, Rd: 8, Imm: 2},          // 5: LD base
+		{Op: isa.ST, Ra: 2, Rb: 1, Imm: 0},   // 6: shared store, no replica detached yet
+		{Op: isa.DIV, Rd: 5, Ra: 2, Rb: 7},   // 7: replica 1 divides by zero
+		{Op: isa.LD, Rd: 6, Ra: 8, Imm: 0},   // 8: replica 2 loads out of bounds
+		{Op: isa.BNE, Ra: 4, Rb: 3, Imm: 14}, // 9: replica 3 branches away
+		{Op: isa.LI, Rd: 2, Imm: 9},          // 10: shared register write
+		{Op: isa.ST, Ra: 2, Rb: 1, Imm: 0},   // 11: shared store over a shared word
+		{Op: isa.ST, Ra: 2, Rb: 1, Imm: 1},   // 12: shared store to a fresh word
+		{Op: isa.HALT},                       // 13
+		{Op: isa.HALT},                       // 14
+	}
+	fork := New(code, 0, 8)
+	fork.Mem[1], fork.Mem[2] = 0x11, 0x22
+	if ev := fork.RunUntilDyn(6); ev.Kind != EvNone {
+		t.Fatalf("prefix: %v", ev.Kind)
+	}
+	flips := []func(*Machine){
+		func(m *Machine) { m.FlipInt(10, 3) }, // a register nobody reads
+		func(m *Machine) { m.FlipInt(7, 0) },  // divisor 1 -> 0
+		func(m *Machine) { m.FlipInt(8, 40) }, // load base far out of bounds
+		func(m *Machine) { m.FlipInt(4, 3) },  // branch decides the other way
+		func(m *Machine) {},
+	}
+	b := NewBatch(fork, len(flips))
+	b.FlipInt(0, 10, 3)
+	b.FlipInt(1, 7, 0)
+	b.FlipInt(2, 8, 40)
+	b.FlipInt(3, 4, 3)
+	b.Run()
+	if b.pc != 13 || b.ActiveCount() != 2 {
+		t.Fatalf("batch stopped at pc %d with %d active, want 13 with 2", b.pc, b.ActiveCount())
+	}
+	checkReplica(t, fork, b, 0, flips[0])
+	if m := checkReplica(t, fork, b, 1, flips[1]); m.Crash != CrashDivZero || m.R[5] != 77 || m.Mem[0] != 5 {
+		t.Errorf("divide-by-zero replica: crash %v r5 %d mem[0] %d, want %v 77 5", m.Crash, m.R[5], m.Mem[0], CrashDivZero)
+	}
+	if m := checkReplica(t, fork, b, 2, flips[2]); m.Crash != CrashMemOOB || m.R[6] != 33 || m.R[5] != 5 {
+		t.Errorf("out-of-bounds replica: crash %v r6 %d r5 %d, want %v 33 5", m.Crash, m.R[6], m.R[5], CrashMemOOB)
+	}
+	if m := checkReplica(t, fork, b, 3, flips[3]); m.PC != 14 || m.R[2] != 5 || m.Mem[0] != 5 || m.Mem[1] != 0x11 {
+		t.Errorf("branched-away replica: pc %d r2 %d mem[0] %d mem[1] %#x, want 14 5 5 0x11", m.PC, m.R[2], m.Mem[0], m.Mem[1])
+	}
+	if m := checkReplica(t, fork, b, 4, flips[4]); m.R[2] != 9 || m.Mem[0] != 9 || m.Mem[1] != 9 {
+		t.Errorf("lockstep replica: r2 %d mem[0] %d mem[1] %d, want 9 9 9", m.R[2], m.Mem[0], m.Mem[1])
+	}
+}
+
+// TestBatchSharedDivisorZeroCrashesAll: a zero divisor every replica
+// shares crashes the whole active set at once, each keeping the old
+// value of the destination register.
+func TestBatchSharedDivisorZeroCrashesAll(t *testing.T) {
+	code := []isa.Instr{
+		{Op: isa.REM, Rd: 5, Ra: 2, Rb: 7},
+		{Op: isa.HALT},
+	}
+	fork := New(code, 0, 4)
+	fork.R[2], fork.R[5] = 12, 77
+	b := NewBatch(fork, 3)
+	b.FlipInt(1, 2, 1)
+	if !b.Step() || b.ActiveCount() != 0 {
+		t.Fatalf("step: %d replicas still active, want 0", b.ActiveCount())
+	}
+	for k := 0; k < 3; k++ {
+		flip := func(m *Machine) {}
+		if k == 1 {
+			flip = func(m *Machine) { m.FlipInt(2, 1) }
+		}
+		if m := checkReplica(t, fork, b, k, flip); m.Crash != CrashDivZero || m.R[5] != 77 {
+			t.Errorf("replica %d: crash %v r5 %d, want %v 77", k, m.Crash, m.R[5], CrashDivZero)
+		}
+	}
+}
+
+// TestBatchRegisterReconverges: flips confined to bits an ANDI clears make
+// the destination's per-replica results agree, so the register is shared
+// again; every replica's materialized state still matches its scalar run.
+func TestBatchRegisterReconverges(t *testing.T) {
+	code := []isa.Instr{
+		{Op: isa.ANDI, Rd: 3, Ra: 4, Imm: 0xff00},
+		{Op: isa.ADD, Rd: 5, Ra: 3, Rb: 3},
+		{Op: isa.ST, Ra: 5, Rb: 0, Imm: 2},
+		{Op: isa.HALT},
+	}
+	fork := New(code, 0, 4)
+	fork.R[4] = 0x1234
+	const K = 6
+	b := NewBatch(fork, K)
+	for k := 1; k < K; k++ {
+		b.FlipInt(k, 4, uint(k%8))
+	}
+	if b.shared[4] {
+		t.Fatal("flipped register r4 still shared")
+	}
+	if !b.Step() {
+		t.Fatal("batch refused to step")
+	}
+	if !b.shared[3] || b.val[3] != 0x1200 {
+		t.Fatalf("r3 after ANDI: shared %v value %#x, want shared 0x1200", b.shared[3], b.val[3])
+	}
+	b.Run()
+	if !b.shared[5] || len(b.mem[2]) != 1 {
+		t.Errorf("r5 shared %v, mem[2] held in %d words; want shared and one word", b.shared[5], len(b.mem[2]))
+	}
+	for k := 0; k < K; k++ {
+		checkReplica(t, fork, b, k, func(m *Machine) {
+			if k > 0 {
+				m.FlipInt(4, uint(k%8))
+			}
+		})
+	}
+}
+
+// TestBatchMemoryWordSettles: a word every replica stores the same value
+// to settles from a column back into one word, and a later per-replica
+// store regrows the column seeded with that value, which a replica that
+// detached in between keeps seeing.
+func TestBatchMemoryWordSettles(t *testing.T) {
+	code := []isa.Instr{
+		{Op: isa.ADD, Rd: 5, Ra: 4, Rb: 0},  // 0: r5 differs per replica
+		{Op: isa.ST, Ra: 5, Rb: 0, Imm: 2},  // 1: mem[2] becomes a column
+		{Op: isa.ST, Ra: 0, Rb: 0, Imm: 2},  // 2: every replica stores zero
+		{Op: isa.BNE, Ra: 7, Rb: 6, Imm: 6}, // 3: replica 3 branches away
+		{Op: isa.ST, Ra: 5, Rb: 0, Imm: 2},  // 4: mem[2] a column again
+		{Op: isa.HALT},                      // 5
+		{Op: isa.HALT},                      // 6
+	}
+	fork := New(code, 0, 4)
+	fork.R[4], fork.R[6], fork.R[7] = 0x40, 9, 9
+	fork.Mem[2] = 0x77
+	const K = 4
+	b := NewBatch(fork, K)
+	for k := 1; k < K; k++ {
+		b.FlipInt(k, 4, uint(k))
+	}
+	b.FlipInt(K-1, 7, 0)
+	b.Step()
+	b.Step()
+	if len(b.mem[2]) != K {
+		t.Fatalf("mem[2] after a per-replica store: %d words, want %d", len(b.mem[2]), K)
+	}
+	b.Step()
+	if len(b.mem[2]) != 1 {
+		t.Fatalf("mem[2] after a shared store: %d words, want 1", len(b.mem[2]))
+	}
+	used := b.used
+	b.Run()
+	if b.pc != 5 || b.ActiveCount() != K-1 || b.used != used {
+		t.Fatalf("batch at pc %d, %d active, %d words carved after settling; want 5, %d, none",
+			b.pc, b.ActiveCount(), b.used-used, K-1)
+	}
+	for k := 0; k < K; k++ {
+		m := checkReplica(t, fork, b, k, func(m *Machine) {
+			if k > 0 {
+				m.FlipInt(4, uint(k))
+			}
+			if k == K-1 {
+				m.FlipInt(7, 0)
+			}
+		})
+		want := m.R[5]
+		if k == K-1 {
+			want = 0
+		}
+		if m.Mem[2] != want {
+			t.Errorf("replica %d: mem[2] = %#x, want %#x", k, m.Mem[2], want)
+		}
+	}
+}
+
+// TestBatchFlipDetachedReplica: a flip aimed at a replica that has
+// already detached, as a destination flip after a divergent site
+// instruction is, lands in that replica's register snapshot.
+func TestBatchFlipDetachedReplica(t *testing.T) {
+	code := []isa.Instr{
+		{Op: isa.BEQ, Ra: 1, Rb: 2, Imm: 3},
+		{Op: isa.NOP},
+		{Op: isa.HALT},
+		{Op: isa.HALT},
+	}
+	fork := New(code, 0, 4)
+	fork.R[1], fork.R[2] = 4, 4
+	fork.F[3] = math.Float64bits(1.5)
+	b := NewBatch(fork, 3)
+	b.FlipInt(0, 1, 0) // the lead falls through; the others detach at 3
+	if !b.Step() || b.ActiveCount() != 1 {
+		t.Fatalf("step: %d active, want 1", b.ActiveCount())
+	}
+	b.FlipInt(2, 6, 5)
+	b.FlipFloat(2, 3, 63)
+	b.FlipFloat(0, 3, 1)
+	b.Run()
+	checkReplica(t, fork, b, 0, func(m *Machine) {
+		m.FlipInt(1, 0)
+		m.Step()
+		m.FlipFloat(3, 1)
+	})
+	checkReplica(t, fork, b, 1, func(m *Machine) {})
+	m := checkReplica(t, fork, b, 2, func(m *Machine) {
+		m.Step()
+		m.FlipInt(6, 5)
+		m.FlipFloat(3, 63)
+	})
+	if m.PC != 3 || m.R[6] != 1<<5 || m.Fl(3) != -1.5 {
+		t.Errorf("replica 2: pc %d r6 %#x f3 %v, want 3 0x20 -1.5", m.PC, m.R[6], m.Fl(3))
 	}
 }

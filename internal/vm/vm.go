@@ -108,7 +108,7 @@ const maxCallDepth = 1024
 
 // Machine is one simulated CPU plus memory.
 type Machine struct {
-	Code []isa.Instr
+	code []op // the linked program, pre-decoded once by New and shared by clones
 
 	R [isa.NumRegs]uint64 // integer registers
 	F [isa.NumRegs]uint64 // float registers, stored as raw bits so bitflips are uniform
@@ -148,17 +148,18 @@ type memWrite struct {
 }
 
 // New returns a machine for the linked code with memWords words of zeroed
-// memory, positioned at the entry point.
+// memory, positioned at the entry point. It pre-decodes the code once;
+// clones and restores share the decoded form.
 func New(code []isa.Instr, entry int, memWords int) *Machine {
 	return &Machine{
-		Code: code,
+		code: decode(code),
 		Mem:  make([]uint64, memWords),
 		PC:   entry,
 	}
 }
 
-// Clone returns a deep copy of the machine. The instruction slice is shared
-// (it is immutable during execution); memory and the call stack are copied.
+// Clone returns a deep copy of the machine. The decoded program is shared
+// (it is immutable); memory and the call stack are copied.
 // The clone starts with no journal regardless of m's journaling state.
 func (m *Machine) Clone() *Machine {
 	c := *m
@@ -171,8 +172,8 @@ func (m *Machine) Clone() *Machine {
 }
 
 // RestoreFrom overwrites m's state from src without allocating when the
-// memory sizes match. Code is shared. Any journal m was keeping is reset:
-// a full restore supersedes it.
+// memory sizes match. The decoded program is shared. Any journal m was
+// keeping is reset: a full restore supersedes it.
 func (m *Machine) RestoreFrom(src *Machine) {
 	mem, stack, journal := m.Mem, m.Stack, m.journal
 	*m = *src
@@ -299,7 +300,9 @@ func (m *Machine) FlipInt(reg int, bit uint) { m.R[reg] ^= 1 << bit }
 // FlipFloat flips one bit of a float register.
 func (m *Machine) FlipFloat(reg int, bit uint) { m.F[reg] ^= 1 << bit }
 
-func (m *Machine) crash(k CrashKind) Event {
+// crash stops the machine at pc after dyn instructions with crash kind k.
+func (m *Machine) crash(pc int, dyn uint64, k CrashKind) Event {
+	m.PC, m.Dyn = pc, dyn
 	m.Status = Crashed
 	m.Crash = k
 	return Event{Kind: EvCrash}
@@ -336,10 +339,59 @@ const (
 	xROIEnd
 )
 
-// regMask keeps register reads in range. The interpreters read a source
-// field even when an op does not use it (its kernel ignores the value),
-// and unused fields are not guaranteed to be zero.
-const regMask = isa.NumRegs - 1
+// Register slots name an operand's register across both files: integer
+// register r is slot r, float register r is slot NumRegs+r, and an absent
+// operand is slot noReg. The scalar engine reads a slot's register number
+// as slot&regMask (so an absent operand reads r0, which its kernel
+// ignores); the batch engine indexes its register state by slot.
+const (
+	regMask  = isa.NumRegs - 1
+	noReg    = 2 * isa.NumRegs
+	numSlots = noReg + 1
+)
+
+// op is one pre-decoded instruction: the dispatch code, the operands
+// resolved to register slots, the immediate, and the semantics of the
+// opcode's isa row. Both engines execute this form; decode builds it once
+// per linked program.
+type op struct {
+	x          exec
+	rd, ra, rb uint8 // register slots
+	divZero    bool
+	imm        int64
+	kern       func(a, b uint64, imm int64) uint64
+	cond       func(a, b uint64) bool
+}
+
+// decode pre-decodes a linked program.
+func decode(code []isa.Instr) []op {
+	ops := make([]op, len(code))
+	for pc, in := range code {
+		s := isa.Sem(in.Op)
+		ops[pc] = op{
+			x:       execOf[in.Op],
+			rd:      slot(s.Dst, in.Rd),
+			ra:      slot(s.SrcA, in.Ra),
+			rb:      slot(s.SrcB, in.Rb),
+			divZero: s.DivZero,
+			imm:     in.Imm,
+			kern:    s.Kernel,
+			cond:    s.Cond,
+		}
+	}
+	return ops
+}
+
+// slot returns the register slot of operand field r of class c.
+func slot(c isa.RegClass, r uint8) uint8 {
+	switch c {
+	case isa.RegInt:
+		return r & regMask
+	case isa.RegFloat:
+		return isa.NumRegs + r&regMask
+	}
+	return noReg
+}
 
 var execOf = func() (t [256]exec) {
 	control := map[isa.Op]exec{
@@ -388,122 +440,20 @@ func onlyClass(s *isa.OpInfo, c isa.RegClass) bool {
 	return true
 }
 
+// NoStop is the RunToEvent stop index that never comes: the machine runs
+// until an instruction raises an event.
+const NoStop = ^uint64(0)
+
 // Step executes one instruction and reports the resulting event. Calling
 // Step on a non-running machine returns the terminal event again without
 // executing anything.
-func (m *Machine) Step() Event {
-	switch m.Status {
-	case Halted:
-		return Event{Kind: EvHalt}
-	case Crashed:
-		return Event{Kind: EvCrash}
-	case TimedOut:
-		return Event{Kind: EvTimeout}
-	}
-	if m.PC < 0 || m.PC >= len(m.Code) {
-		return m.crash(CrashPCOOB)
-	}
-	if m.MaxDyn > 0 && m.Dyn >= m.MaxDyn {
-		m.Status = TimedOut
-		return Event{Kind: EvTimeout}
-	}
-
-	in := m.Code[m.PC]
-	m.Dyn++
-	next := m.PC + 1
-	ev := Event{}
-
-	s := isa.Sem(in.Op)
-	switch execOf[in.Op] {
-	case xIntKernel:
-		b := m.R[in.Rb&regMask]
-		if s.DivZero && b == 0 {
-			return m.crash(CrashDivZero)
-		}
-		m.R[in.Rd] = s.Kernel(m.R[in.Ra&regMask], b, in.Imm)
-	case xFloatKernel:
-		m.F[in.Rd] = s.Kernel(m.F[in.Ra&regMask], m.F[in.Rb&regMask], in.Imm)
-	case xKernel:
-		b := m.reg(s.SrcB, in.Rb)
-		if s.DivZero && b == 0 {
-			return m.crash(CrashDivZero)
-		}
-		m.setReg(s.Dst, in.Rd, s.Kernel(m.reg(s.SrcA, in.Ra), b, in.Imm))
-	case xIntBranch:
-		if s.Cond(m.R[in.Ra], m.R[in.Rb]) {
-			next = int(in.Imm)
-		}
-	case xFloatBranch:
-		if s.Cond(m.F[in.Ra], m.F[in.Rb]) {
-			next = int(in.Imm)
-		}
-	case xLoad:
-		addr := m.R[in.Ra] + uint64(in.Imm)
-		if addr >= m.memLimit() {
-			return m.crash(CrashMemOOB)
-		}
-		m.setReg(s.Dst, in.Rd, m.Mem[addr])
-	case xLoadAbs:
-		addr := uint64(in.Imm)
-		if addr >= uint64(len(m.Mem)) {
-			return m.crash(CrashMemOOB)
-		}
-		m.setReg(s.Dst, in.Rd, m.Mem[addr])
-	case xStore:
-		addr := m.R[in.Rb] + uint64(in.Imm)
-		if addr >= m.memLimit() {
-			return m.crash(CrashMemOOB)
-		}
-		m.store(addr, m.reg(s.SrcA, in.Ra))
-	case xStoreAbs:
-		addr := uint64(in.Imm)
-		if addr >= uint64(len(m.Mem)) {
-			return m.crash(CrashMemOOB)
-		}
-		m.store(addr, m.reg(s.SrcA, in.Ra))
-	case xNop:
-	case xHalt:
-		m.Status = Halted
-		m.PC = next
-		return Event{Kind: EvHalt}
-	case xTrap:
-		return m.crash(CrashTrap)
-	case xJmp:
-		next = int(in.Imm)
-	case xCall:
-		if len(m.Stack) >= maxCallDepth {
-			return m.crash(CrashStackOverflow)
-		}
-		m.Stack = append(m.Stack, next)
-		next = int(in.Imm)
-	case xRet:
-		if len(m.Stack) == 0 {
-			return m.crash(CrashStackUnderflow)
-		}
-		next = m.Stack[len(m.Stack)-1]
-		m.Stack = m.Stack[:len(m.Stack)-1]
-	case xSecBeg:
-		ev = Event{Kind: EvSecBeg, Sec: int(in.Imm)}
-	case xSecEnd:
-		ev = Event{Kind: EvSecEnd, Sec: int(in.Imm)}
-	case xROIBeg:
-		ev = Event{Kind: EvROIBeg}
-	case xROIEnd:
-		ev = Event{Kind: EvROIEnd}
-	default:
-		return m.crash(CrashBadInstr)
-	}
-
-	m.PC = next
-	return ev
-}
+func (m *Machine) Step() Event { return m.RunToEvent(m.Dyn + 1) }
 
 // Run executes until the machine leaves the Running state and returns the
 // terminal event.
 func (m *Machine) Run() Event {
 	for {
-		ev := m.Step()
-		switch ev.Kind {
+		switch ev := m.RunToEvent(NoStop); ev.Kind {
 		case EvHalt, EvCrash, EvTimeout:
 			return ev
 		}
@@ -514,30 +464,158 @@ func (m *Machine) Run() Event {
 // the next Step would execute dynamic instruction index n. It returns early
 // with the terminal event if execution ends first, otherwise an EvNone.
 func (m *Machine) RunUntilDyn(n uint64) Event {
-	for m.Dyn < n {
-		ev := m.Step()
-		switch ev.Kind {
-		case EvHalt, EvCrash, EvTimeout:
+	for {
+		switch ev := m.RunToEvent(n); ev.Kind {
+		case EvNone, EvHalt, EvCrash, EvTimeout:
 			return ev
 		}
 	}
-	return Event{}
 }
 
-// reg reads source register r of class c. An absent operand (RegNone)
-// reads an integer register the op ignores.
-func (m *Machine) reg(c isa.RegClass, r uint8) uint64 {
-	if c == isa.RegFloat {
-		return m.F[r&regMask]
+// RunToEvent executes until an instruction raises an event — a marker or
+// a terminal event — and returns it, or returns EvNone once Dyn reaches
+// stop, before executing dynamic instruction index stop. A machine already
+// at or past stop executes nothing; otherwise a non-running machine
+// returns its terminal event again. Before each instruction, a PC out of
+// bounds crashes the machine even when the MaxDyn timeout is also due.
+func (m *Machine) RunToEvent(stop uint64) Event {
+	if m.Dyn >= stop {
+		return Event{}
 	}
-	return m.R[r&regMask]
+	switch m.Status {
+	case Halted:
+		return Event{Kind: EvHalt}
+	case Crashed:
+		return Event{Kind: EvCrash}
+	case TimedOut:
+		return Event{Kind: EvTimeout}
+	}
+	code := m.code
+	pc, dyn := m.PC, m.Dyn
+	end := stop
+	if m.MaxDyn > 0 && m.MaxDyn < end {
+		end = m.MaxDyn
+	}
+	for {
+		if dyn >= end {
+			switch {
+			case dyn >= stop:
+				m.PC, m.Dyn = pc, dyn
+				return Event{}
+			case uint(pc) >= uint(len(code)):
+				return m.crash(pc, dyn, CrashPCOOB)
+			}
+			m.PC, m.Dyn = pc, dyn
+			m.Status = TimedOut
+			return Event{Kind: EvTimeout}
+		}
+		if uint(pc) >= uint(len(code)) {
+			return m.crash(pc, dyn, CrashPCOOB)
+		}
+		o := &code[pc]
+		dyn++
+		next := pc + 1
+		switch o.x {
+		case xIntKernel:
+			b := m.R[o.rb&regMask]
+			if o.divZero && b == 0 {
+				return m.crash(pc, dyn, CrashDivZero)
+			}
+			m.R[o.rd&regMask] = o.kern(m.R[o.ra&regMask], b, o.imm)
+		case xFloatKernel:
+			m.F[o.rd&regMask] = o.kern(m.F[o.ra&regMask], m.F[o.rb&regMask], o.imm)
+		case xKernel:
+			b := m.reg(o.rb)
+			if o.divZero && b == 0 {
+				return m.crash(pc, dyn, CrashDivZero)
+			}
+			m.setReg(o.rd, o.kern(m.reg(o.ra), b, o.imm))
+		case xIntBranch:
+			if o.cond(m.R[o.ra&regMask], m.R[o.rb&regMask]) {
+				next = int(o.imm)
+			}
+		case xFloatBranch:
+			if o.cond(m.F[o.ra&regMask], m.F[o.rb&regMask]) {
+				next = int(o.imm)
+			}
+		case xLoad:
+			addr := m.R[o.ra&regMask] + uint64(o.imm)
+			if addr >= m.memLimit() {
+				return m.crash(pc, dyn, CrashMemOOB)
+			}
+			m.setReg(o.rd, m.Mem[addr])
+		case xLoadAbs:
+			addr := uint64(o.imm)
+			if addr >= uint64(len(m.Mem)) {
+				return m.crash(pc, dyn, CrashMemOOB)
+			}
+			m.setReg(o.rd, m.Mem[addr])
+		case xStore:
+			addr := m.R[o.rb&regMask] + uint64(o.imm)
+			if addr >= m.memLimit() {
+				return m.crash(pc, dyn, CrashMemOOB)
+			}
+			m.store(addr, m.reg(o.ra))
+		case xStoreAbs:
+			addr := uint64(o.imm)
+			if addr >= uint64(len(m.Mem)) {
+				return m.crash(pc, dyn, CrashMemOOB)
+			}
+			m.store(addr, m.reg(o.ra))
+		case xNop:
+		case xHalt:
+			m.PC, m.Dyn = next, dyn
+			m.Status = Halted
+			return Event{Kind: EvHalt}
+		case xTrap:
+			return m.crash(pc, dyn, CrashTrap)
+		case xJmp:
+			next = int(o.imm)
+		case xCall:
+			if len(m.Stack) >= maxCallDepth {
+				return m.crash(pc, dyn, CrashStackOverflow)
+			}
+			m.Stack = append(m.Stack, next)
+			next = int(o.imm)
+		case xRet:
+			if len(m.Stack) == 0 {
+				return m.crash(pc, dyn, CrashStackUnderflow)
+			}
+			next = m.Stack[len(m.Stack)-1]
+			m.Stack = m.Stack[:len(m.Stack)-1]
+		case xSecBeg:
+			m.PC, m.Dyn = next, dyn
+			return Event{Kind: EvSecBeg, Sec: int(o.imm)}
+		case xSecEnd:
+			m.PC, m.Dyn = next, dyn
+			return Event{Kind: EvSecEnd, Sec: int(o.imm)}
+		case xROIBeg:
+			m.PC, m.Dyn = next, dyn
+			return Event{Kind: EvROIBeg}
+		case xROIEnd:
+			m.PC, m.Dyn = next, dyn
+			return Event{Kind: EvROIEnd}
+		default:
+			return m.crash(pc, dyn, CrashBadInstr)
+		}
+		pc = next
+	}
 }
 
-// setReg writes register r of class c, which must not be RegNone.
-func (m *Machine) setReg(c isa.RegClass, r uint8, v uint64) {
-	if c == isa.RegFloat {
-		m.F[r] = v
+// reg reads the register in slot s; an absent operand reads r0, which the
+// op ignores.
+func (m *Machine) reg(s uint8) uint64 {
+	if s&isa.NumRegs != 0 {
+		return m.F[s&regMask]
+	}
+	return m.R[s&regMask]
+}
+
+// setReg writes the register in slot s, which must not be noReg.
+func (m *Machine) setReg(s uint8, v uint64) {
+	if s&isa.NumRegs != 0 {
+		m.F[s&regMask] = v
 	} else {
-		m.R[r] = v
+		m.R[s&regMask] = v
 	}
 }

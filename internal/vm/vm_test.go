@@ -581,6 +581,24 @@ func BenchmarkStepALU(b *testing.B) {
 	}
 }
 
+// BenchmarkRun runs batchProg to its halt on a scalar machine restored
+// from the entry state each iteration: the run loop over a mix of
+// kernels, branches, a call and memory ops.
+func BenchmarkRun(b *testing.B) {
+	l := batchProg(b)
+	entry := New(l.Code, l.Entry, 32)
+	m := entry.Clone()
+	steps := 0
+	for i := 0; i < b.N; i++ {
+		m.RestoreFrom(entry)
+		if ev := m.Run(); ev.Kind != EvHalt {
+			b.Fatalf("run ended with %v", ev.Kind)
+		}
+		steps += int(m.Dyn)
+	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+}
+
 func BenchmarkRestoreFrom(b *testing.B) {
 	src := New(nil, 0, 4096)
 	dst := New(nil, 0, 4096)
