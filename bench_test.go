@@ -388,6 +388,47 @@ func BenchmarkAblationGreedy(b *testing.B) {
 	})
 }
 
+// knapItems caches, per benchmark, the knapsack items of the original
+// version's cold analysis at ε = 0.
+var (
+	knapItemsMu  sync.Mutex
+	knapItemsMap = map[string][]knap.Item{}
+)
+
+func knapItems(b *testing.B, name string) []knap.Item {
+	b.Helper()
+	knapItemsMu.Lock()
+	defer knapItemsMu.Unlock()
+	if items, ok := knapItemsMap[name]; ok {
+		return items
+	}
+	r, err := core.NewAnalyzer(core.DefaultConfig()).Analyze(bench.MustBuild(name, bench.None))
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := r.Items(r.FFBadCounts(0))
+	knapItemsMap[name] = items
+	return items
+}
+
+// BenchmarkKnapNew measures building the knapsack DP table over each
+// original's item set.
+func BenchmarkKnapNew(b *testing.B) {
+	for _, name := range fastflip.Benchmarks() {
+		b.Run(name, func(b *testing.B) {
+			items := knapItems(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var s *knap.Solver
+			for i := 0; i < b.N; i++ {
+				s = knap.New(items)
+			}
+			b.ReportMetric(float64(len(items)), "items")
+			b.ReportMetric(float64(s.TotalCost()), "total-cost")
+		})
+	}
+}
+
 // --- replay engine microbenchmarks ---
 
 // BenchmarkInjectSection runs one section's full injection campaign with

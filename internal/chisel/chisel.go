@@ -17,6 +17,7 @@ package chisel
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"fastflip/internal/sens"
@@ -41,6 +42,15 @@ type Spec struct {
 	// Final[λ] bounds the SDC in final output λ as an affine expression of
 	// the φ variables: f_{T,λ}(φ_{*,*}).
 	Final []*sym.Expr
+
+	termsOnce sync.Once
+	terms     [][]term // terms[inst]: the φ_{inst,*} terms of every Final[λ]
+}
+
+// term is one φ_{inst,out} term of Final[λ], filed under its instance.
+type term struct {
+	λ, out int
+	coef   float64
 }
 
 // Compose runs the propagation analysis over the trace. amps[i] is the
@@ -107,17 +117,42 @@ func Compose(t *trace.Trace, amps []*sens.Amplification) (*Spec, error) {
 // inside instance instIdx that introduced SDC magnitudes mags into that
 // instance's outputs (the specialization f_{T,λ,s} of Equation 4: all φ
 // variables of other instances are zero under the single-error model).
+//
+// Only instIdx's own terms are summed, in a fixed (λ, out) order. The
+// other instances' terms are never evaluated: a chain of Discrete sections
+// can drive their coefficients to +Inf, and +Inf × 0 would turn the whole
+// bound into NaN. A zero magnitude contributes nothing for the same
+// reason.
 func (s *Spec) Bound(instIdx int, mags []float64) []float64 {
 	bounds := make([]float64, len(s.Final))
 	for λ, e := range s.Final {
-		bounds[λ] = e.Eval(func(v sym.Var) float64 {
-			if v.Inst != instIdx || v.Out >= len(mags) {
-				return 0
+		bounds[λ] = e.Const()
+	}
+	if terms := s.instanceTerms(); instIdx >= 0 && instIdx < len(terms) {
+		for _, tm := range terms[instIdx] {
+			if tm.out < len(mags) && mags[tm.out] != 0 {
+				bounds[tm.λ] += tm.coef * mags[tm.out]
 			}
-			return mags[v.Out]
-		})
+		}
 	}
 	return bounds
+}
+
+// instanceTerms files every non-zero term of Final by instance, once.
+// It reads Final rather than being filled by Compose, so hand-built specs
+// work too.
+func (s *Spec) instanceTerms() [][]term {
+	s.termsOnce.Do(func() {
+		for λ, e := range s.Final {
+			for _, v := range e.Vars() {
+				for len(s.terms) <= v.Inst {
+					s.terms = append(s.terms, nil)
+				}
+				s.terms[v.Inst] = append(s.terms[v.Inst], term{λ: λ, out: v.Out, coef: e.Coef(v)})
+			}
+		}
+	})
+	return s.terms
 }
 
 // Bad reports whether an error in instance instIdx with per-output SDC

@@ -196,3 +196,56 @@ func TestVarNaming(t *testing.T) {
 		t.Errorf("Var.String = %q", v.String())
 	}
 }
+
+// TestBoundIgnoresOtherInstancesInfiniteCoefficient is the regression test
+// for the NaN bound: an +Inf coefficient on another instance's φ must not
+// enter the sum as +Inf × 0.
+func TestBoundIgnoresOtherInstancesInfiniteCoefficient(t *testing.T) {
+	e := sym.Zero().AddVar(sym.Var{Inst: 0, Out: 0}, math.Inf(1)).AddVar(sym.Var{Inst: 1, Out: 0}, 1)
+	s := &Spec{Final: []*sym.Expr{e}}
+	if got := s.Bound(1, []float64{1}); got[0] != 1 {
+		t.Errorf("Bound(1, {1}) = %v, want [1]", got)
+	}
+	if !s.Bad(1, []float64{1}, []float64{0}) {
+		t.Error("SDC of 1 through a unit coefficient not flagged bad at eps = 0")
+	}
+	if got := s.Bound(0, []float64{0}); got[0] != 0 {
+		t.Errorf("Bound(0, {0}) = %v, want [0]: a zero magnitude adds nothing", got)
+	}
+	if got := s.Bound(0, []float64{1e-3}); !math.IsInf(got[0], 1) {
+		t.Errorf("Bound(0, {1e-3}) = %v, want [+Inf]", got)
+	}
+}
+
+// TestDiscreteChainBoundsStayFinite composes chains of Discrete sections.
+// Five sections are the first chain whose upstream coefficient,
+// DiscreteK^4, overflows to +Inf; every section's bound must still be a
+// number, and any SDC must stay SDC-Bad at eps = 0.
+func TestDiscreteChainBoundsStayFinite(t *testing.T) {
+	for _, n := range []int{4, 5} {
+		tr, err := trace.Record(chainProgram(t, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := make([]*sens.Amplification, n)
+		for i := range a {
+			a[i] = &sens.Amplification{K: [][]float64{{sens.DiscreteK}}}
+		}
+		s, err := Compose(tr, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := s.Coefficient(0, 0, 0); (n == 5) != math.IsInf(c, 1) {
+			t.Fatalf("n=%d: upstream coefficient %v", n, c)
+		}
+		for i := 0; i < n; i++ {
+			b := s.Bound(i, []float64{1e-3})[0]
+			if math.IsNaN(b) || b <= 0 {
+				t.Errorf("n=%d: bound via section %d = %v", n, i, b)
+			}
+			if !s.Bad(i, []float64{1e-3}, []float64{0}) {
+				t.Errorf("n=%d: SDC in section %d not flagged bad", n, i)
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -336,6 +337,16 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 	}
 	report()
 
+	// Each injected section's sensitivity estimation runs on its own
+	// goroutine alongside the section's campaign. Every return path joins
+	// the one in flight, re-raising its panic here.
+	var pendingSens *sensJob
+	defer func() {
+		if pendingSens != nil {
+			pendingSens.wait()
+		}
+	}()
+
 	r.Amps = make([]*sens.Amplification, len(t.Instances))
 	for idx, inst := range t.Instances {
 		if err := ctx.Err(); err != nil {
@@ -410,6 +421,14 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 			}
 		}
 
+		// A fully recovered, sealed section reuses its logged sensitivity
+		// matrix; otherwise the (deterministic) estimation reruns while the
+		// campaign does, and the segment is sealed behind it.
+		reuseAmp := nRecovered == len(classes) && recovered.Amp != nil
+		if !reuseAmp {
+			pendingSens = startSens(t, inst, a.Cfg.Sens)
+		}
+
 		var outcomes, fins []metrics.Outcome
 		var stats inject.Stats
 		if a.Cfg.SectionInjector != nil {
@@ -465,17 +484,15 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 		r.FFInject.Add(recStats)
 		r.FFRecovered.Add(recStats)
 
-		// A fully recovered, sealed section reuses its logged sensitivity
-		// matrix; otherwise the (deterministic) estimation reruns and the
-		// segment is sealed behind it.
 		var amp *sens.Amplification
-		if nRecovered == len(classes) && recovered.Amp != nil {
+		if reuseAmp {
 			amp = &sens.Amplification{K: recovered.Amp.K}
 			r.FFSens.Runs += recovered.Amp.Runs
 			r.FFSens.SimInstrs += recovered.Amp.SimInstrs
 		} else {
 			var sstats sens.Stats
-			amp, sstats = sens.Analyze(t, inst, a.Cfg.Sens)
+			amp, sstats = pendingSens.wait()
+			pendingSens = nil
 			r.FFSens.Runs += sstats.Runs
 			r.FFSens.SimInstrs += sstats.SimInstrs
 			if wal != nil {
@@ -549,6 +566,56 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 	r.Costs, r.TotalCost = costModel(t, a.Cfg.CostModel)
 	r.FFWall = time.Since(started)
 	return r, nil
+}
+
+// sensitivity is the estimator startSens runs; only tests swap it.
+var sensitivity = sens.Analyze
+
+// sensJob is one section's sensitivity estimation, running on its own
+// goroutine.
+type sensJob struct {
+	done     chan struct{}
+	amp      *sens.Amplification
+	stats    sens.Stats
+	panicked *sensPanic
+}
+
+// sensPanic is a panic recovered on a sensitivity goroutine, carrying the
+// stack it was raised on.
+type sensPanic struct {
+	val   any
+	stack []byte
+}
+
+func (p *sensPanic) Error() string {
+	return fmt.Sprintf("sensitivity estimation panicked: %v\n%s", p.val, p.stack)
+}
+
+// startSens starts estimating inst's amplification matrix. A panic is
+// recovered on the estimation goroutine and re-raised by wait.
+func startSens(t *trace.Trace, inst *trace.Instance, cfg sens.Config) *sensJob {
+	j := &sensJob{done: make(chan struct{})}
+	go func() {
+		defer close(j.done)
+		defer func() {
+			if p := recover(); p != nil {
+				j.panicked = &sensPanic{val: p, stack: debug.Stack()}
+			}
+		}()
+		j.amp, j.stats = sensitivity(t, inst, cfg)
+	}()
+	return j
+}
+
+// wait joins the estimation and returns its result. A panic of the
+// estimation is re-raised on the caller's goroutine, where the job's
+// panic guard sees it.
+func (j *sensJob) wait() (*sens.Amplification, sens.Stats) {
+	<-j.done
+	if j.panicked != nil {
+		panic(j.panicked)
+	}
+	return j.amp, j.stats
 }
 
 // storeLookup returns the stored section for key only if it covers every

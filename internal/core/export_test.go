@@ -2,7 +2,9 @@ package core
 
 import (
 	"fastflip/internal/metrics"
+	"fastflip/internal/sens"
 	"fastflip/internal/sites"
+	"fastflip/internal/trace"
 )
 
 // BaselineClasses exposes the monolithic baseline's classes and their
@@ -18,3 +20,11 @@ func (r *Result) BaselineClasses() ([]*sites.Class, []metrics.Outcome) {
 
 // CostModel exposes the protection cost model to external tests.
 var CostModel = costModel
+
+// SetSensitivity swaps the estimator AnalyzeContext runs alongside each
+// section's injection and returns a function that restores it.
+func SetSensitivity(f func(*trace.Trace, *trace.Instance, sens.Config) (*sens.Amplification, sens.Stats)) (restore func()) {
+	old := sensitivity
+	sensitivity = f
+	return func() { sensitivity = old }
+}

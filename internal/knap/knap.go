@@ -3,7 +3,10 @@
 // while minimizing total protection cost. This is a 0-1 knapsack problem
 // solved with the standard dynamic program over cost, which also yields the
 // whole value/cost Pareto frontier in one pass (the ε-constraint sweep the
-// paper uses for Figure 1).
+// paper uses for Figure 1). Each row of the DP covers only the costs its
+// prefix of items can reach, so the work is Σ_i (S_i − w_i) cell updates
+// (S_i the summed cost of the positive-value items up to item i, w_i its
+// cost), not len(items) × total cost.
 package knap
 
 import (
@@ -31,7 +34,17 @@ type Solver struct {
 	items     []Item
 	totalCost int
 	best      []float64 // best[c] = max value achievable with cost ≤ c
-	take      [][]uint64
+	rows      []row     // one per positive-value item, in canonical order
+}
+
+// row is the take table of one DP row. reach is S_i, the summed cost of
+// the positive-value items up to and including this one: every cell above
+// reach holds the row's full-fit value and takes the same decision as cell
+// reach, so take only stores bits for cells 0..reach.
+type row struct {
+	item  int // index into Solver.items
+	reach int
+	take  []uint64
 }
 
 // lessID orders static IDs canonically (function name, then local index).
@@ -42,7 +55,12 @@ func lessID(a, b prog.StaticID) bool {
 	return a.Local < b.Local
 }
 
-// New builds the DP table: O(len(items) × total cost) time.
+// New builds the DP table. Row i is computed only over the cells
+// [w_i, S_i], where w_i is the item's cost and S_i the summed cost of the
+// positive-value items up to it, so the work is Σ_i (S_i − w_i) cell
+// updates rather than len(items) × total cost. Zero-value items get no
+// row: they are never worth protecting, and skipping them keeps cost
+// minimal.
 //
 // Items are canonicalized by static ID first (the caller's slice is left
 // untouched): the DP breaks value ties by item order, so without a fixed
@@ -59,23 +77,44 @@ func New(items []Item) *Solver {
 		}
 		s.totalCost += it.Cost
 	}
-	width := s.totalCost + 1
-	s.best = make([]float64, width)
-	s.take = make([][]uint64, len(items))
-	words := (width + 63) / 64
+	best := make([]float64, s.totalCost+1)
+	reach := 0
 	for i, it := range items {
-		row := make([]uint64, words)
-		s.take[i] = row
 		if it.Value == 0 {
-			continue // never worth protecting; skipping keeps cost minimal
+			continue
 		}
-		for c := s.totalCost; c >= it.Cost; c-- {
-			if v := s.best[c-it.Cost] + it.Value; v > s.best[c] {
-				s.best[c] = v
-				row[c/64] |= 1 << (c % 64)
+		w := it.Cost
+		// Cells (S_{i-1}, S_i] enter the prefix holding the previous
+		// row's full-fit value, as the full-width DP would have left them.
+		for c := reach + 1; c <= reach+w; c++ {
+			best[c] = best[reach]
+		}
+		reach += w
+		take := make([]uint64, reach/64+1)
+		// Cells c = reach down to w, one take word at a time: walking
+		// downward, each read of best[c-w] (lo) still sees the previous
+		// row, and the word's take bits collect in a register instead of
+		// a read-modify-write of take per cell.
+		for k := reach / 64; k >= w/64; k-- {
+			cLo, cHi := max(w, 64*k), min(reach, 64*k+63)
+			lo, hi := best[cLo-w:cHi-w+1], best[cLo:cHi+1]
+			hi = hi[:len(lo)]
+			base := uint(cLo % 64)
+			var bits uint64
+			for j := len(lo) - 1; j >= 0; j-- {
+				if v := lo[j] + it.Value; v > hi[j] {
+					hi[j] = v
+					bits |= 1 << ((base + uint(j)) & 63)
+				}
 			}
+			take[k] = bits
 		}
+		s.rows = append(s.rows, row{item: i, reach: reach, take: take})
 	}
+	for c := reach + 1; c <= s.totalCost; c++ {
+		best[c] = best[reach]
+	}
+	s.best = best
 	return s
 }
 
@@ -123,18 +162,27 @@ func (s *Solver) MinCostFor(target float64) (*Selection, error) {
 	return s.reconstruct(cost), nil
 }
 
-// reconstruct walks the take bits backward from cost. The selection is
-// rendered in canonical ID order, with value and cost accumulated in that
-// same order so the recorded sums are bit-reproducible from the IDs.
+// reconstruct walks the take bits backward from cost, reading a row above
+// its reach at the reach.
 func (s *Solver) reconstruct(cost int) *Selection {
 	var chosen []Item
 	c := cost
-	for i := len(s.items) - 1; i >= 0; i-- {
-		if s.take[i][c/64]&(1<<(c%64)) != 0 {
-			chosen = append(chosen, s.items[i])
-			c -= s.items[i].Cost
+	for i := len(s.rows) - 1; i >= 0; i-- {
+		r := &s.rows[i]
+		b := min(c, r.reach)
+		if r.take[b/64]&(1<<(b%64)) != 0 {
+			it := s.items[r.item]
+			chosen = append(chosen, it)
+			c -= it.Cost
 		}
 	}
+	return selectionOf(chosen)
+}
+
+// selectionOf renders chosen items in canonical ID order, with value and
+// cost accumulated in that same order so the recorded sums are
+// bit-reproducible from the IDs.
+func selectionOf(chosen []Item) *Selection {
 	sort.Slice(chosen, func(a, b int) bool { return lessID(chosen[a].ID, chosen[b].ID) })
 	sel := &Selection{}
 	for _, it := range chosen {
@@ -143,20 +191,6 @@ func (s *Solver) reconstruct(cost int) *Selection {
 		sel.Cost += it.Cost
 	}
 	return sel
-}
-
-// Sweep returns the minimum-cost selection for each target, resolving all
-// targets against the single DP table (the ε-constraint sweep).
-func (s *Solver) Sweep(targets []float64) ([]*Selection, error) {
-	sels := make([]*Selection, len(targets))
-	for i, t := range targets {
-		sel, err := s.MinCostFor(t)
-		if err != nil {
-			return nil, err
-		}
-		sels[i] = sel
-	}
-	return sels, nil
 }
 
 // Greedy returns the selection produced by the value-density heuristic

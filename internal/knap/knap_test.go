@@ -112,19 +112,22 @@ func TestSelectionConsistency(t *testing.T) {
 	}
 }
 
+// TestSweepMonotone: resolving ascending targets against one DP table
+// (the ε-constraint sweep) never lowers the cost.
 func TestSweepMonotone(t *testing.T) {
 	items := randomItems(rand.New(rand.NewSource(3)), 60)
 	s := New(items)
 	targets := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99}
-	sels, err := s.Sweep(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(sels); i++ {
-		if sels[i].Cost < sels[i-1].Cost {
-			t.Errorf("cost not monotone: %d at %v then %d at %v",
-				sels[i-1].Cost, targets[i-1], sels[i].Cost, targets[i])
+	prev := 0
+	for _, target := range targets {
+		sel, err := s.MinCostFor(target)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if sel.Cost < prev {
+			t.Errorf("cost not monotone: %d then %d at %v", prev, sel.Cost, target)
+		}
+		prev = sel.Cost
 	}
 }
 
