@@ -433,32 +433,36 @@ func BenchmarkKnapNew(b *testing.B) {
 
 // BenchmarkInjectSection runs one section's full injection campaign with
 // and without the lockstep batch tier. Outcomes are identical; the tiers
-// differ in dispatch cost and allocations (run with -benchmem).
+// differ in dispatch cost and allocations (run with -benchmem). Campipe's
+// sections compare the most words (768 output and 4,352 live-only), so
+// its case shows the cost of classifying each experiment.
 func BenchmarkInjectSection(b *testing.B) {
-	p := bench.MustBuild("fft", bench.None)
-	tr, err := trace.Record(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst := tr.Instances[len(tr.Instances)/2]
-	classes := sites.ForInstance(tr, inst, sites.Options{Prune: true})
-	for _, noBatch := range []bool{false, true} {
-		name := "batch"
-		if noBatch {
-			name = "scalar"
+	for _, name := range []string{"fft", "campipe"} {
+		p := bench.MustBuild(name, bench.None)
+		tr, err := trace.Record(p)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			inj := &inject.Injector{T: tr, NoBatch: noBatch}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var stats inject.Stats
-			for i := 0; i < b.N; i++ {
-				_, stats = inj.RunSection(context.Background(), inst, classes)
+		inst := tr.Instances[len(tr.Instances)/2]
+		classes := sites.ForInstance(tr, inst, sites.Options{Prune: true})
+		for _, noBatch := range []bool{false, true} {
+			tier := "batch"
+			if noBatch {
+				tier = "scalar"
 			}
-			b.ReportMetric(float64(stats.SimInstrs), "accounted-instrs")
-			b.ReportMetric(float64(stats.CleanInstrs), "clean-instrs")
-			b.ReportMetric(float64(stats.FaultyInstrs), "faulty-instrs")
-		})
+			b.Run(name+"/"+tier, func(b *testing.B) {
+				inj := &inject.Injector{T: tr, NoBatch: noBatch}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var stats inject.Stats
+				for i := 0; i < b.N; i++ {
+					_, stats = inj.RunSection(context.Background(), inst, classes)
+				}
+				b.ReportMetric(float64(stats.SimInstrs), "accounted-instrs")
+				b.ReportMetric(float64(stats.CleanInstrs), "clean-instrs")
+				b.ReportMetric(float64(stats.FaultyInstrs), "faulty-instrs")
+			})
+		}
 	}
 }
 

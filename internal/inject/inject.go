@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -209,13 +208,14 @@ func (inj *Injector) Section(m *vm.Machine, inst *trace.Instance, site sites.Sit
 	if err := inj.prepare(m, site, sectionLimit(inst)); err != nil {
 		panic(err)
 	}
-	out := inj.sectionFinish(m, inst, liveSpans(inst))
+	out := inj.sectionFinish(m, newRoles(inst).cursor(nil))
 	return out, m.Dyn - inj.T.NearestCheckpointDyn(site.Dyn)
 }
 
-// sectionFinish resumes a prepared machine until the injected instance ends
-// and classifies the section-level outcome; live is liveSpans(inst).
-func (inj *Injector) sectionFinish(m *vm.Machine, inst *trace.Instance, live []span) metrics.Outcome {
+// sectionFinish resumes a prepared machine until the injected instance
+// (cd.inst) ends and classifies the section-level outcome.
+func (inj *Injector) sectionFinish(m *vm.Machine, cd *cursorDiff) metrics.Outcome {
+	inst := cd.inst
 	for {
 		ev := m.RunToEvent(vm.NoStop)
 		switch ev.Kind {
@@ -226,11 +226,7 @@ func (inj *Injector) sectionFinish(m *vm.Machine, inst *trace.Instance, live []s
 				// SDC-Bad (§4.9, side effects).
 				return conservativeSDC(len(inst.IO.Outputs))
 			}
-			out := metrics.Compare(inst.IO.Outputs, inst.Exit, m)
-			if out.Kind != metrics.Detected && liveSideEffect(live, inst, m) {
-				return conservativeSDC(len(inst.IO.Outputs))
-			}
-			return out
+			return cd.verdict(m)
 		case vm.EvHalt:
 			// The program terminated before the section completed:
 			// corrupted control flow skipped the section's remainder.
@@ -253,15 +249,14 @@ func (inj *Injector) SectionCoRun(m *vm.Machine, inst *trace.Instance, site site
 	if err := inj.prepare(m, site, sectionLimit(inst)); err != nil {
 		panic(err)
 	}
-	sec, fin = inj.coRunFinish(m, inst, liveSpans(inst))
+	sec, fin = inj.coRunFinish(m, newRoles(inst).cursor(nil))
 	return sec, fin, m.Dyn - inj.T.NearestCheckpointDyn(site.Dyn)
 }
 
-// coRunFinish resumes a prepared machine through the injected instance and
-// on to program termination, classifying both levels; live is
-// liveSpans(inst).
-func (inj *Injector) coRunFinish(m *vm.Machine, inst *trace.Instance, live []span) (sec, fin metrics.Outcome) {
-	t := inj.T
+// coRunFinish resumes a prepared machine through the injected instance
+// (cd.inst) and on to program termination, classifying both levels.
+func (inj *Injector) coRunFinish(m *vm.Machine, cd *cursorDiff) (sec, fin metrics.Outcome) {
+	t, inst := inj.T, cd.inst
 	secDone := false
 	for {
 		ev := m.RunToEvent(vm.NoStop)
@@ -273,10 +268,7 @@ func (inj *Injector) coRunFinish(m *vm.Machine, inst *trace.Instance, live []spa
 			if ev.Sec != inst.Sec {
 				sec = conservativeSDC(len(inst.IO.Outputs))
 			} else {
-				sec = metrics.Compare(inst.IO.Outputs, inst.Exit, m)
-				if sec.Kind != metrics.Detected && liveSideEffect(live, inst, m) {
-					sec = conservativeSDC(len(inst.IO.Outputs))
-				}
+				sec = cd.verdict(m)
 			}
 			secDone = true
 			// Past the section, the whole-program timeout rule applies.
@@ -325,11 +317,10 @@ func (inj *Injector) RunSectionCoRunResume(ctx context.Context, inst *trace.Inst
 			rec(i, out, &fins[i], cost)
 		}
 	}
-	live := liveSpans(inst)
 	secs, stats = inj.runAll(ctx, classes, experiment{
 		limit: func(sites.Site) uint64 { return sectionLimit(inst) },
-		finish: func(m *vm.Machine, i int, _ sites.Site) metrics.Outcome {
-			sec, fin := inj.coRunFinish(m, inst, live)
+		finish: func(m *vm.Machine, i int, cd *cursorDiff) metrics.Outcome {
+			sec, fin := inj.coRunFinish(m, cd)
 			fins[i] = fin
 			return sec
 		},
@@ -341,6 +332,7 @@ func (inj *Injector) RunSectionCoRunResume(ctx context.Context, inst *trace.Inst
 			fins[i] = metrics.Outcome{Kind: metrics.Masked}
 			return metrics.Outcome{Kind: metrics.Masked}
 		},
+		roles:    newRoles(inst),
 		cleanEnd: inj.T.Final.Dyn,
 		hooks:    hooks,
 	})
@@ -361,8 +353,7 @@ func conservativeSDC(outputs int) metrics.Outcome {
 type span struct{ lo, hi int }
 
 // liveSpans returns the live-declared words of inst that lie outside its
-// declared outputs, as ranges. A campaign computes it once and checks
-// every experiment against it with liveSideEffect.
+// declared outputs, as ranges: the live-only words of newRoles.
 func liveSpans(inst *trace.Instance) []span {
 	var spans []span
 	for _, lb := range inst.IO.Live {
@@ -393,17 +384,6 @@ func liveSpans(inst *trace.Instance) []span {
 	return spans
 }
 
-// liveSideEffect reports whether any word of the live spans (liveSpans of
-// inst) differs from the instance's clean exit state.
-func liveSideEffect(live []span, inst *trace.Instance, m *vm.Machine) bool {
-	for _, s := range live {
-		if !slices.Equal(m.Mem[s.lo:s.hi], inst.Exit.Mem[s.lo:s.hi]) {
-			return true
-		}
-	}
-	return false
-}
-
 // RunMonolithic injects the pilot of every class and returns per-class
 // outcomes (indexed like classes) plus cost statistics. Cancelling ctx
 // stops the campaign between experiments; the returned outcomes are then
@@ -411,7 +391,7 @@ func liveSideEffect(live []span, inst *trace.Instance, m *vm.Machine) bool {
 func (inj *Injector) RunMonolithic(ctx context.Context, classes []*sites.Class) ([]metrics.Outcome, Stats) {
 	return inj.runAll(ctx, classes, experiment{
 		limit:    func(sites.Site) uint64 { return TimeoutFactor * inj.T.TotalDyn },
-		finish:   func(m *vm.Machine, _ int, _ sites.Site) metrics.Outcome { return inj.monolithicFinish(m) },
+		finish:   func(m *vm.Machine, _ int, _ *cursorDiff) metrics.Outcome { return inj.monolithicFinish(m) },
 		conserv:  func(int) metrics.Outcome { return conservativeSDC(len(inj.T.Prog.FinalOutputs)) },
 		masked:   func(int) metrics.Outcome { return metrics.Outcome{Kind: metrics.Masked} },
 		cleanEnd: inj.T.Final.Dyn,
@@ -428,12 +408,13 @@ func (inj *Injector) RunSection(ctx context.Context, inst *trace.Instance, class
 // RunSectionResume is RunSection with resume hooks; see
 // RunSectionCoRunResume for their semantics.
 func (inj *Injector) RunSectionResume(ctx context.Context, inst *trace.Instance, classes []*sites.Class, hooks CampaignHooks) ([]metrics.Outcome, Stats) {
-	live := liveSpans(inst)
 	return inj.runAll(ctx, classes, experiment{
 		limit:    func(sites.Site) uint64 { return sectionLimit(inst) },
-		finish:   func(m *vm.Machine, _ int, _ sites.Site) metrics.Outcome { return inj.sectionFinish(m, inst, live) },
+		finish:   func(m *vm.Machine, _ int, cd *cursorDiff) metrics.Outcome { return inj.sectionFinish(m, cd) },
 		conserv:  func(int) metrics.Outcome { return conservativeSDC(len(inst.IO.Outputs)) },
 		masked:   func(int) metrics.Outcome { return metrics.Outcome{Kind: metrics.Masked} },
+		roles:    newRoles(inst),
+		inPlace:  true,
 		cleanEnd: inst.Exit.Dyn,
 		hooks:    hooks,
 	})
@@ -443,8 +424,18 @@ func (inj *Injector) RunSectionResume(ctx context.Context, inst *trace.Instance,
 // limit for a site and the classification of a machine that is already
 // positioned at the site with the flip applied.
 type experiment struct {
-	limit  func(site sites.Site) uint64
-	finish func(m *vm.Machine, i int, site sites.Site) metrics.Outcome
+	limit func(site sites.Site) uint64
+	// finish classifies class i's machine; cd is the worker's cursorDiff
+	// over roles, nil when roles is.
+	finish func(m *vm.Machine, i int, cd *cursorDiff) metrics.Outcome
+	// roles, when non-nil, is the role table of the injected section
+	// instance: each worker then keeps a cursorDiff over it in step with
+	// its clean cursor.
+	roles *roles
+	// inPlace says finish is exactly the section verdict at roles.inst's
+	// SECEND, so batch survivors stopped in front of it are classified
+	// inside the batch.
+	inPlace bool
 	// conserv yields the conservative worst-case outcome for class i, used
 	// to fill the slot of a quarantined (twice-panicked) experiment so the
 	// downstream analysis stays sound. Nil means conservativeSDC(0).
@@ -695,6 +686,41 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 	cur := seed.Clone()    // rolling clean cursor, only ever advances
 	em := cur.Clone()      // experiment machine, forked from the cursor
 	batch := new(vm.Batch) // lockstep replicas, re-forked off em per group
+	var cd *cursorDiff     // the section verdict's diff set D, kept in step with cur
+	if exp.roles != nil {
+		cd = exp.roles.cursor(cur)
+	}
+
+	// advance moves the shared clean prefix forward to dyn once, mirroring
+	// the delta into the experiment machine and into D.
+	advance := func(dyn uint64) {
+		if dyn <= cur.Dyn {
+			return
+		}
+		cur.BeginJournal()
+		if ev := cur.RunUntilDyn(dyn); ev.Kind != vm.EvNone {
+			panic(fmt.Errorf("inject: clean cursor to dyn %d ended with %v", dyn, ev.Kind))
+		}
+		if cd != nil {
+			cd.advance(cur)
+		}
+		if cur.ReplayJournalInto(em) {
+			em.CopyScalarsFrom(cur)
+		} else {
+			em.RestoreFrom(cur)
+		}
+		cur.EndJournal()
+	}
+	// rebuild discards both machines after a panic, which may have left
+	// either mid-journal or half-restored, and re-seeds them for dyn.
+	rebuild := func(dyn uint64) {
+		seed, _ := t.ReplaySeed(dyn)
+		cur = seed.Clone()
+		em = cur.Clone()
+		if cd != nil {
+			cd.reset(cur)
+		}
+	}
 
 	// runScalar runs one experiment on a scalar fork of the cursor,
 	// including supervision, retry, and record delivery.
@@ -713,20 +739,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 			if inj.PanicHook != nil {
 				inj.PanicHook(i, attempt)
 			}
-			// Advance the shared clean prefix once, mirroring the delta
-			// into the experiment machine.
-			if site.Dyn > cur.Dyn {
-				cur.BeginJournal()
-				if ev := cur.RunUntilDyn(site.Dyn); ev.Kind != vm.EvNone {
-					panic(fmt.Errorf("inject: clean cursor to dyn %d ended with %v", site.Dyn, ev.Kind))
-				}
-				if cur.ReplayJournalInto(em) {
-					em.CopyScalarsFrom(cur)
-				} else {
-					em.RestoreFrom(cur)
-				}
-				cur.EndJournal()
-			}
+			advance(site.Dyn)
 
 			// Fork: em mirrors the clean state at site.Dyn. Run the faulty
 			// suffix under a journal, classify, then undo only what it
@@ -737,7 +750,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 			if err != nil {
 				panic(err)
 			}
-			outcomes[i] = exp.finish(em, i, site)
+			outcomes[i] = exp.finish(em, i, cd)
 
 			expStats := Stats{Experiments: 1}
 			expStats.SimInstrs += em.Dyn - t.NearestCheckpointDyn(site.Dyn)
@@ -760,12 +773,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 				expStats = st
 				break
 			}
-			// The panic may have left either machine mid-journal or
-			// half-restored; both are rebuilt from the seed before any
-			// further use.
-			seed, _ := t.ReplaySeed(site.Dyn)
-			cur = seed.Clone()
-			em = cur.Clone()
+			rebuild(site.Dyn)
 			if attempt == 1 {
 				inj.notePanicRetry()
 				continue
@@ -790,12 +798,14 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 	// vm.Batch: the clean prefix is advanced once, each replica gets its
 	// flip, and one dispatch per opcode drives every faulty suffix until
 	// it detaches (crash, control divergence) or the batch reaches a
-	// stop-before boundary; each replica is then materialized onto the
-	// fork machine and classified by the exact scalar epilogue. Outcomes
-	// and accounted costs are identical to forking the group one by one —
-	// batching changes wall clock only.
+	// stop-before boundary. When that boundary is the injected instance's
+	// own SECEND in a section campaign, the replicas still in lockstep are
+	// classified inside the batch from their memory views; every other
+	// replica is materialized onto the fork machine and classified by the
+	// exact scalar epilogue. Outcomes and accounted costs are identical to
+	// forking the group one by one — batching changes wall clock only.
 	//
-	// Each replica is accounted and recorded as it materializes, with a
+	// Each replica is accounted and recorded in group order, with a
 	// cancellation check in between, so the campaign keeps the scalar
 	// engine's per-experiment delivery granularity. A panic anywhere
 	// inside rebuilds the machines and the batch, then re-runs only the
@@ -809,18 +819,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 		}
 		delivered := 0
 		_, rec := runSupervised(func() *vm.Machine { return em }, func() Stats {
-			if pilotDyn > cur.Dyn {
-				cur.BeginJournal()
-				if ev := cur.RunUntilDyn(pilotDyn); ev.Kind != vm.EvNone {
-					panic(fmt.Errorf("inject: clean cursor to dyn %d ended with %v", pilotDyn, ev.Kind))
-				}
-				if cur.ReplayJournalInto(em) {
-					em.CopyScalarsFrom(cur)
-				} else {
-					em.RestoreFrom(cur)
-				}
-				cur.EndJournal()
-			}
+			advance(pilotDyn)
 
 			// Source flips land before the site instruction. If any
 			// replica flips a destination, the batch executes the site
@@ -851,32 +850,45 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 			}
 			b.Run()
 			stats.Batches++
+			inPlace := false
+			if sec, ok := b.SecEndNext(); ok && exp.inPlace && sec == cd.inst.Sec {
+				inPlace = true
+				cd.shareBatch(b)
+			}
 
 			for j, i := range group {
 				if ctx.Err() != nil {
 					break
 				}
 				site := classes[i].PilotSite()
-				em.MaxDyn = exp.limit(site)
-				em.BeginJournal()
-				b.MaterializeInto(j, em)
-				out := exp.finish(em, i, site)
+				var out metrics.Outcome
+				var end uint64 // the experiment's final dynamic count
+				if inPlace && !b.Detached(j) {
+					// The scalar epilogue would execute the SECEND and
+					// classify: the same verdict, one instruction later.
+					out, end = cd.survivor(b, j, em), b.Dyn()+1
+				} else {
+					em.MaxDyn = exp.limit(site)
+					em.BeginJournal()
+					b.MaterializeInto(j, em)
+					out, end = exp.finish(em, i, cd), em.Dyn
+					if em.UndoJournal() {
+						em.CopyScalarsFrom(cur)
+					} else {
+						em.RestoreFrom(cur)
+					}
+				}
 				flipDyn := site.Dyn
 				if site.Operand.Role == isa.OperandDst {
 					flipDyn++
 				}
 				cost := Stats{Experiments: 1, BatchExperiments: 1}
-				cost.SimInstrs = em.Dyn - t.NearestCheckpointDyn(site.Dyn)
+				cost.SimInstrs = end - t.NearestCheckpointDyn(site.Dyn)
 				if j == 0 {
 					cost.CleanInstrs = cleanShare
 				}
 				cost.CleanInstrs += flipDyn - site.Dyn
-				cost.FaultyInstrs = em.Dyn - flipDyn
-				if em.UndoJournal() {
-					em.CopyScalarsFrom(cur)
-				} else {
-					em.RestoreFrom(cur)
-				}
+				cost.FaultyInstrs = end - flipDyn
 				outcomes[i] = out
 				stats.Add(cost)
 				delivered = j + 1
@@ -889,9 +901,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 		if rec == nil {
 			return
 		}
-		seed, _ := t.ReplaySeed(pilotDyn)
-		cur = seed.Clone()
-		em = cur.Clone()
+		rebuild(pilotDyn)
 		batch = new(vm.Batch)
 		inj.notePanicRetry()
 		for _, i := range group[delivered:] {

@@ -10,8 +10,9 @@ import (
 	"fastflip/internal/vm"
 )
 
-// liveSideEffectRef is the per-word reference for liveSpans plus
-// liveSideEffect: every live word is tested against every output buffer.
+// liveSideEffectRef is the per-word reference for liveSpans plus the live
+// role of a verdict: every live word is tested against every output
+// buffer.
 func liveSideEffectRef(inst *trace.Instance, m *vm.Machine) bool {
 	for _, lb := range inst.IO.Live {
 	word:
@@ -30,9 +31,10 @@ func liveSideEffectRef(inst *trace.Instance, m *vm.Machine) bool {
 	return false
 }
 
-// TestLiveSpansMatchReference checks liveSpans against hand-derived ranges
-// and liveSideEffect against the per-word reference with a corruption at
-// every memory word, one at a time.
+// TestLiveSpansMatchReference checks liveSpans against hand-derived ranges,
+// and the live role of a verdict against the per-word reference (and the
+// whole verdict against referenceVerdict) with a corruption at every
+// memory word, one at a time.
 func TestLiveSpansMatchReference(t *testing.T) {
 	buf := func(addr, n int) spec.Buffer { return spec.Buffer{Addr: addr, Len: n} }
 	const memWords = 40
@@ -68,14 +70,19 @@ func TestLiveSpansMatchReference(t *testing.T) {
 			if !slices.Equal(live, tc.want) {
 				t.Fatalf("liveSpans = %v, want %v", live, tc.want)
 			}
+			cd := newRoles(inst).cursor(nil)
 			m := inst.Exit.Clone()
-			if liveSideEffect(live, inst, m) {
+			if cd.verdict(m); cd.t.live {
 				t.Fatal("clean exit state reported as a side effect")
 			}
 			for a := range m.Mem {
 				m.Mem[a] ^= 1
-				if got, want := liveSideEffect(live, inst, m), liveSideEffectRef(inst, m); got != want {
-					t.Errorf("%s: corrupt word %d: liveSideEffect %v, reference %v", fmt.Sprint(tc.live), a, got, want)
+				out := cd.verdict(m)
+				if got, want := cd.t.live, liveSideEffectRef(inst, m); got != want {
+					t.Errorf("%s: corrupt word %d: live side effect %v, reference %v", fmt.Sprint(tc.live), a, got, want)
+				}
+				if want := referenceVerdict(inst, m); !sameOutcome(out, want) {
+					t.Errorf("%s: corrupt word %d: verdict %+v, reference %+v", fmt.Sprint(tc.live), a, out, want)
 				}
 				m.Mem[a] ^= 1
 			}

@@ -95,30 +95,49 @@ func (o Outcome) MaxMagnitude() float64 {
 	return max
 }
 
+// WordDiff is the per-word rule of the magnitude metric: the magnitude of
+// one word of a buffer of the given kind between its clean and corrupted
+// value, and whether the corrupted word is malformed (NaN/Inf introduced
+// into a float word). A buffer's magnitude is the maximum over its words,
+// and any malformed word makes the outcome Detected, so a verdict does not
+// depend on the order in which words are visited. The magnitude is never
+// NaN: a NaN difference, possible only when the clean word is NaN or Inf,
+// counts as zero.
+func WordDiff(kind spec.BufKind, clean, dirty uint64) (mag float64, malformed bool) {
+	if clean == dirty {
+		return 0, false
+	}
+	switch kind {
+	case spec.Float:
+		cv := math.Float64frombits(clean)
+		dv := math.Float64frombits(dirty)
+		if (math.IsNaN(dv) || math.IsInf(dv, 0)) && !(math.IsNaN(cv) || math.IsInf(cv, 0)) {
+			return 0, true
+		}
+		if d := math.Abs(cv - dv); d == d {
+			return d, false
+		}
+	case spec.Int:
+		return absIntDiff(clean, dirty), false
+	}
+	return 0, false
+}
+
 // BufferDiff computes the SDC magnitude of buffer b between a clean and a
 // corrupted machine, and whether the corrupted buffer is malformed
 // (NaN/Inf introduced into a float buffer).
 func BufferDiff(b spec.Buffer, clean, dirty *vm.Machine) (mag float64, malformed bool) {
 	for i := 0; i < b.Len; i++ {
-		cw := clean.Mem[b.Addr+i]
-		dw := dirty.Mem[b.Addr+i]
+		cw, dw := clean.Mem[b.Addr+i], dirty.Mem[b.Addr+i]
 		if cw == dw {
 			continue
 		}
-		switch b.Kind {
-		case spec.Float:
-			cv := math.Float64frombits(cw)
-			dv := math.Float64frombits(dw)
-			if (math.IsNaN(dv) || math.IsInf(dv, 0)) && !(math.IsNaN(cv) || math.IsInf(cv, 0)) {
-				return 0, true
-			}
-			if d := math.Abs(cv - dv); d > mag {
-				mag = d
-			}
-		case spec.Int:
-			if d := absIntDiff(cw, dw); d > mag {
-				mag = d
-			}
+		d, bad := WordDiff(b.Kind, cw, dw)
+		if bad {
+			return 0, true
+		}
+		if d > mag {
+			mag = d
 		}
 	}
 	return mag, false

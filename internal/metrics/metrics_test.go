@@ -156,3 +156,33 @@ func TestStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestWordDiffRule pins the per-word rule every verdict shares: equal
+// words and a clean NaN contribute nothing, NaN or Inf introduced into a
+// finite float is malformed, and integers differ by their signed distance.
+func TestWordDiffRule(t *testing.T) {
+	f := math.Float64bits
+	for _, tc := range []struct {
+		name         string
+		kind         spec.BufKind
+		clean, dirty uint64
+		mag          float64
+		malformed    bool
+	}{
+		{"equal", spec.Float, f(2), f(2), 0, false},
+		{"float", spec.Float, f(2), f(-1.5), 3.5, false},
+		{"signed zero", spec.Float, f(0), f(math.Copysign(0, -1)), 0, false},
+		{"NaN introduced", spec.Float, f(2), f(math.NaN()), 0, true},
+		{"Inf introduced", spec.Float, f(2), f(math.Inf(-1)), 0, true},
+		{"NaN replaced", spec.Float, f(math.NaN()), f(2), 0, false},
+		{"Inf replaced", spec.Float, f(math.Inf(1)), f(2), math.Inf(1), false},
+		{"NaN into Inf", spec.Float, f(math.Inf(1)), f(math.NaN()), 0, false},
+		{"int", spec.Int, 5, ^uint64(2), 8, false},
+		{"int extremes", spec.Int, 1 << 63, 1<<63 - 1, math.Exp2(64), false},
+	} {
+		mag, bad := WordDiff(tc.kind, tc.clean, tc.dirty)
+		if mag != tc.mag || bad != tc.malformed {
+			t.Errorf("%s: WordDiff = %v, %v; want %v, %v", tc.name, mag, bad, tc.mag, tc.malformed)
+		}
+	}
+}

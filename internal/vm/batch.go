@@ -151,6 +151,35 @@ func (b *Batch) Steps() uint64 { return b.steps }
 // ActiveCount returns how many replicas are still in the lockstep set.
 func (b *Batch) ActiveCount() int { return len(b.active) }
 
+// Detached reports whether replica k has left the lockstep set.
+func (b *Batch) Detached(k int) bool { return b.detached[k] }
+
+// Dyn returns the lockstep set's dynamic counter: the instructions every
+// active replica has executed.
+func (b *Batch) Dyn() uint64 { return b.dyn }
+
+// Touched returns the addresses the batch has written, each once. A word
+// outside it holds the base machine's value for every replica. The slice
+// is the batch's own and must not be modified.
+func (b *Batch) Touched() []uint64 { return b.touched }
+
+// SecEndNext reports whether the batch stopped in front of a SECEND that
+// every active replica would execute next, and its section. It takes the
+// scalar RunToEvent's view of the next instruction: no replica is active,
+// the MaxDyn timeout is due or the PC is out of bounds, and the answer is
+// no; otherwise the opcode decides. When it says yes, a survivor finished
+// on a scalar Machine raises EvSecEnd for sec at dynamic count Dyn()+1.
+func (b *Batch) SecEndNext() (sec int, ok bool) {
+	switch {
+	case len(b.active) == 0,
+		b.maxDyn > 0 && b.dyn >= b.maxDyn,
+		uint(b.pc) >= uint(len(b.code)),
+		b.code[b.pc].x != xSecEnd:
+		return 0, false
+	}
+	return int(b.code[b.pc].imm), true
+}
+
 // FlipInt flips one bit of replica k's integer register reg.
 func (b *Batch) FlipInt(k, reg int, bit uint) { b.flip(k, reg, bit) }
 
@@ -201,9 +230,10 @@ func (b *Batch) carve(w int) []uint64 {
 	return c
 }
 
-// word returns the value of memory word addr that every replica sees,
-// and whether they all see the same one; if not, mem[addr] is a column.
-func (b *Batch) word(addr uint64) (uint64, bool) {
+// Word returns the value of memory word addr that every replica sees,
+// detached or not, and whether they all see the same one; if not, the
+// word is a column and Read gives each replica's value.
+func (b *Batch) Word(addr uint64) (uint64, bool) {
 	switch c := b.mem[addr]; {
 	case c == nil:
 		return b.base.Mem[addr], true
@@ -213,8 +243,8 @@ func (b *Batch) word(addr uint64) (uint64, bool) {
 	return 0, false
 }
 
-// read returns replica k's view of memory word addr.
-func (b *Batch) read(k int, addr uint64) uint64 {
+// Read returns replica k's view of memory word addr.
+func (b *Batch) Read(k int, addr uint64) uint64 {
 	switch c := b.mem[addr]; len(c) {
 	case 0:
 		return b.base.Mem[addr]
@@ -233,7 +263,7 @@ func (b *Batch) memColumn(addr uint64) []uint64 {
 	if len(c) == b.n {
 		return c
 	}
-	v, _ := b.word(addr)
+	v, _ := b.Word(addr)
 	switch {
 	case c == nil:
 		b.touched = append(b.touched, addr)
@@ -422,7 +452,7 @@ func (b *Batch) load(o *op) {
 			b.detachAll(CrashMemOOB)
 			return
 		}
-		if v, ok := b.word(addr); ok {
+		if v, ok := b.Word(addr); ok {
 			b.shared[o.rd], b.val[o.rd] = true, v
 			return
 		}
@@ -445,7 +475,7 @@ func (b *Batch) load(o *op) {
 			b.detach(k, b.pc, Crashed, CrashMemOOB)
 			continue
 		}
-		v := b.read(k, addr)
+		v := b.Read(k, addr)
 		rd[k] = v
 		if len(keep) == 0 {
 			first = v
@@ -577,7 +607,7 @@ func (b *Batch) MaterializeInto(k int, m *Machine) {
 		m.Crash = CrashNone
 	}
 	for _, addr := range b.touched {
-		v := b.read(k, addr)
+		v := b.Read(k, addr)
 		if v == b.base.Mem[addr] {
 			continue
 		}

@@ -229,6 +229,15 @@ func (m *Machine) EndJournal() { m.journaling = false }
 // BeginJournal; if so Undo/Replay refuse and the caller must full-restore.
 func (m *Machine) JournalOverflowed() bool { return m.overflowed }
 
+// JournalLen returns the number of journal entries since BeginJournal.
+// An address appears once per write, so it can repeat.
+func (m *Machine) JournalLen() int { return len(m.journal) }
+
+// JournalAddr returns the word address of journal entry i. Together with
+// the current memory they tell a reader exactly where m can differ from
+// its state at BeginJournal, unless the journal overflowed.
+func (m *Machine) JournalAddr(i int) uint64 { return m.journal[i].addr }
+
 // UndoJournal reverts the journaled memory writes newest-first and stops
 // journaling, returning false (with memory untouched) if the journal
 // overflowed and the undo log is incomplete.

@@ -312,3 +312,53 @@ func TestBatchMatchesScalarQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: on random programs, a batch's stop query agrees with the
+// scalar engine. Each survivor, materialized when the batch stops and run
+// to its next event on a scalar machine, raises EvSecEnd at dynamic count
+// Dyn()+1 exactly when SecEndNext reports a SECEND, and for the section
+// it reports. The timeout and PC checks that take precedence over the
+// opcode are reached too: maxDyn is small, and branch targets run past
+// the end of the code.
+func TestBatchSecEndNextQuick(t *testing.T) {
+	secEnds, others := 0, 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		fork := randomProgram(rng, uint64(1+rng.Intn(30)))
+		if fork.RunUntilDyn(uint64(rng.Intn(4))); fork.Status != Running {
+			return true
+		}
+		b := NewBatch(fork, 1+rng.Intn(8))
+		for k := 0; k < b.Replicas(); k++ {
+			if rng.Intn(2) == 0 {
+				b.FlipInt(k, rng.Intn(4), uint(rng.Intn(4)))
+			}
+		}
+		b.Run()
+		sec, ok := b.SecEndNext()
+		for k := 0; k < b.Replicas(); k++ {
+			if b.Detached(k) {
+				continue
+			}
+			m := fork.Clone()
+			b.MaterializeInto(k, m)
+			ev := m.RunToEvent(NoStop)
+			atSecEnd := ev.Kind == EvSecEnd && m.Dyn == b.Dyn()+1
+			if ok != atSecEnd || ok && ev.Sec != sec {
+				t.Logf("seed %d replica %d: query %d %v, scalar %v sec %d at dyn %d (batch dyn %d)",
+					seed, k, sec, ok, ev.Kind, ev.Sec, m.Dyn, b.Dyn())
+				return false
+			}
+		}
+		if ok {
+			secEnds++
+		} else if b.ActiveCount() > 0 {
+			others++
+		}
+		return true
+	}
+	if err := quick.Check(f, qcheck.Config(t, 3000)); err != nil {
+		t.Error(err)
+	}
+	t.Logf("%d stops in front of a SECEND, %d other stops with survivors", secEnds, others)
+}
