@@ -523,29 +523,33 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 		r.Amps[idx] = amp
 		r.InjectedInstances++
 
-		secStats := recStats
-		secStats.Add(stats)
-		stored := &store.Section{
-			Outcomes:  make(map[sites.ClassKey]store.Outcome, len(classes)),
-			Amp:       amp.K,
-			SimInstrs: secStats.SimInstrs,
-		}
-		if fins != nil {
-			stored.Final = make(map[sites.ClassKey]store.Outcome, len(classes))
-		}
 		for i, c := range classes {
 			rec := classRecord{class: c, out: outcomes[i], inst: idx}
 			if fins != nil {
 				rec.fin = &fins[i]
-				stored.Final[c.Key] = store.FromMetrics(fins[i])
 			}
 			r.ffClasses = append(r.ffClasses, rec)
-			stored.Outcomes[c.Key] = store.FromMetrics(outcomes[i])
 		}
 		// A section with quarantined experiments holds conservative fills,
 		// not results: storing it under its content key would hand the
 		// fills to every later lookup as if they were outcomes.
 		if a.Store != nil && len(inj.Poisoned())+len(remotePoisoned) == poisonedBefore {
+			secStats := recStats
+			secStats.Add(stats)
+			stored := &store.Section{
+				Outcomes:  make(map[sites.ClassKey]store.Outcome, len(classes)),
+				Amp:       amp.K,
+				SimInstrs: secStats.SimInstrs,
+			}
+			if fins != nil {
+				stored.Final = make(map[sites.ClassKey]store.Outcome, len(classes))
+			}
+			for i, c := range classes {
+				stored.Outcomes[c.Key] = store.FromMetrics(outcomes[i])
+				if fins != nil {
+					stored.Final[c.Key] = store.FromMetrics(fins[i])
+				}
+			}
 			a.Store.Put(key, stored)
 		}
 		report()

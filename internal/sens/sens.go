@@ -17,6 +17,8 @@ package sens
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 
 	"fastflip/internal/mix"
 	"fastflip/internal/spec"
@@ -72,7 +74,19 @@ func streamSeed(seed int64, inst *trace.Instance) int64 {
 	return int64(acc)
 }
 
+// maxReplicas bounds the width of one sampling batch, so the batch's
+// per-replica memory columns stay small whatever Samples is.
+const maxReplicas = 64
+
 // Analyze estimates the amplification matrix of one section instance.
+//
+// The samples of one input buffer run as the lockstep replicas of a
+// vm.Batch forked at the instance's entry, each seeded with its own
+// perturbed words. Replicas still in lockstep at the section's SECEND are
+// read inside the batch; any other replica is materialized and finished
+// on the scalar engine. The estimate and its Stats are exactly those of
+// running every sample on its own scalar machine, in sample order,
+// stopping an input at its first sample that does not finish.
 func Analyze(t *trace.Trace, inst *trace.Instance, cfg Config) (*Amplification, Stats) {
 	nIn, nOut := len(inst.IO.Inputs), len(inst.IO.Outputs)
 	amp := &Amplification{K: make([][]float64, nOut)}
@@ -94,10 +108,9 @@ func Analyze(t *trace.Trace, inst *trace.Instance, cfg Config) (*Amplification, 
 		return amp, stats
 	}
 
-	rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, inst)))
-	m := inst.Entry.Clone()
-	limit := inst.BegDyn + 1 + 16*inst.Len() + 64
-
+	s := getSampler()
+	defer putSampler(s)
+	s.start(inst, streamSeed(cfg.Seed, inst))
 	for ii, in := range inst.IO.Inputs {
 		if in.Kind != spec.Float {
 			// Integer inputs of non-discrete sections (e.g. control
@@ -105,67 +118,271 @@ func Analyze(t *trace.Trace, inst *trace.Instance, cfg Config) (*Amplification, 
 			// the conservative side-effect handling.
 			continue
 		}
-		for s := 0; s < cfg.Samples; s++ {
-			m.RestoreFrom(inst.Entry)
-			m.MaxDyn = limit
-			phi := perturb(rng, m, in, cfg.PhiMax)
-			if phi == 0 {
-				continue
-			}
-			if !runToSecEnd(m, inst.Sec) {
-				// Perturbation diverged the section so far that it did not
-				// complete; treat as worst case for this input.
-				for oi := 0; oi < nOut; oi++ {
-					amp.K[oi][ii] = DiscreteK
-				}
-				stats.Runs++
-				stats.SimInstrs += m.Dyn - (inst.BegDyn + 1)
+		for drawn := 0; drawn < cfg.Samples; {
+			n := min(cfg.Samples-drawn, maxReplicas)
+			s.draw(in, n, cfg.PhiMax)
+			drawn += n
+			if !s.run(ii, amp, &stats) {
 				break
-			}
-			stats.Runs++
-			stats.SimInstrs += m.Dyn - (inst.BegDyn + 1)
-			for oi, out := range inst.IO.Outputs {
-				diff := maxAbsDiff(out, inst.Exit, m)
-				if k := diff / phi; k > amp.K[oi][ii] {
-					amp.K[oi][ii] = k
-				}
 			}
 		}
 	}
 	return amp, stats
 }
 
-// perturb adds random perturbations up to phiMax to one, several, or all
-// elements of the buffer and returns the maximum absolute perturbation
-// applied (the |φ| denominator of Eq. 1).
-func perturb(rng *rand.Rand, m *vm.Machine, b spec.Buffer, phiMax float64) float64 {
-	var idxs []int
-	switch rng.Intn(3) {
-	case 0: // single element
-		idxs = []int{rng.Intn(b.Len)}
-	case 1: // several elements
-		n := 1 + rng.Intn(b.Len)
-		idxs = rng.Perm(b.Len)[:n]
-	default: // all elements
-		idxs = make([]int, b.Len)
-		for i := range idxs {
-			idxs[i] = i
-		}
+// sampler is the reusable state of one Analyze call: the batch, its fork
+// machine, the RNG, and the drawn samples. Analyze runs on one goroutine
+// per section, so idle samplers wait in a shared free list.
+type sampler struct {
+	inst  *trace.Instance
+	seed  int64
+	src   countingSource
+	rng   *rand.Rand
+	perm  []int
+	base  vm.Machine // inst.Entry with the sampling timeout; the batch's fork point
+	batch vm.Batch
+
+	// The drawn samples with a nonzero perturbation, in sample order:
+	// replica k sets words addrs[off[k]:off[k+1]] to vals[off[k]:off[k+1]],
+	// perturbs by at most phis[k], and its draws end at the stream's
+	// draws[k]-th value.
+	addrs, vals []uint64
+	off         []int
+	phis        []float64
+	draws       []int64
+
+	// shared[oi] is output oi's magnitude over the words every replica
+	// sees alike; cols lists the output words that are columns.
+	shared []float64
+	cols   []outWord
+	mags   []float64 // the current replica's magnitude per output
+}
+
+// outWord is a memory word of output buffer out.
+type outWord struct {
+	addr uint64
+	out  int
+}
+
+// samplers holds idle samplers, one per processor at most: a sync.Pool
+// would drop them at nearly every collection, and a fresh sampler's
+// columns cost up to a megabyte.
+var samplers = make(chan *sampler, runtime.GOMAXPROCS(0))
+
+// getSampler returns an idle sampler or a new one.
+func getSampler() *sampler {
+	select {
+	case s := <-samplers:
+		return s
+	default:
 	}
-	maxPhi := 0.0
-	for _, i := range idxs {
-		delta := (rng.Float64()*2 - 1) * phiMax
-		if delta == 0 {
+	s := &sampler{src: countingSource{src: rand.NewSource(0)}}
+	s.rng = rand.New(&s.src)
+	return s
+}
+
+// putSampler keeps s for reuse unless enough samplers are idle. It
+// drops s's instance, so an idle sampler keeps no trace alive.
+func putSampler(s *sampler) {
+	s.inst = nil
+	select {
+	case samplers <- s:
+	default:
+	}
+}
+
+// start points the sampler at inst, with the RNG stream seeded by seed.
+func (s *sampler) start(inst *trace.Instance, seed int64) {
+	s.inst, s.seed = inst, seed
+	s.src.Seed(seed)
+	s.base.RestoreFrom(inst.Entry)
+	s.base.MaxDyn = inst.BegDyn + 1 + 16*inst.Len() + 64
+	nOut := len(inst.IO.Outputs)
+	s.shared = slices.Grow(s.shared[:0], nOut)[:nOut]
+	s.mags = slices.Grow(s.mags[:0], nOut)[:nOut]
+}
+
+// draw draws the next n samples of input buffer b: one, several or all
+// of its elements each perturbed by up to phiMax, in the RNG order of one
+// scalar sample after another. A sample whose perturbation is zero
+// everywhere is drawn but not kept.
+func (s *sampler) draw(b spec.Buffer, n int, phiMax float64) {
+	rng, entry := s.rng, s.inst.Entry
+	s.addrs, s.vals, s.phis, s.draws = s.addrs[:0], s.vals[:0], s.phis[:0], s.draws[:0]
+	s.off = append(s.off[:0], 0)
+	for ; n > 0; n-- {
+		mark := len(s.addrs)
+		idxs := s.perm[:0]
+		switch rng.Intn(3) {
+		case 0: // single element
+			idxs = append(idxs, rng.Intn(b.Len))
+		case 1: // several elements
+			k := 1 + rng.Intn(b.Len)
+			idxs = s.permute(b.Len)[:k]
+		default: // all elements
+			for i := 0; i < b.Len; i++ {
+				idxs = append(idxs, i)
+			}
+		}
+		s.perm = idxs
+		maxPhi := 0.0
+		for _, i := range idxs {
+			delta := (rng.Float64()*2 - 1) * phiMax
+			if delta == 0 {
+				continue
+			}
+			addr := uint64(b.Addr + i)
+			v := math.Float64frombits(entry.Mem[addr])
+			s.addrs = append(s.addrs, addr)
+			s.vals = append(s.vals, math.Float64bits(v+delta))
+			if a := math.Abs(delta); a > maxPhi {
+				maxPhi = a
+			}
+		}
+		if maxPhi == 0 {
+			s.addrs, s.vals = s.addrs[:mark], s.vals[:mark]
 			continue
 		}
-		addr := b.Addr + i
-		v := math.Float64frombits(m.Mem[addr])
-		m.Mem[addr] = math.Float64bits(v + delta)
-		if a := math.Abs(delta); a > maxPhi {
-			maxPhi = a
+		s.off = append(s.off, len(s.addrs))
+		s.phis = append(s.phis, maxPhi)
+		s.draws = append(s.draws, s.src.n)
+	}
+}
+
+// permute returns rng.Perm(n) in the sampler's buffer: the same draws and
+// the same permutation, without allocating.
+func (s *sampler) permute(n int) []int {
+	p := slices.Grow(s.perm[:0], n)[:n]
+	for i := range p {
+		j := s.rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
+// run forks the drawn samples as the replicas of one batch, runs them to
+// the section's end, and folds each into column ii of K in sample order.
+// At the first sample that does not finish it sets the column to
+// DiscreteK, rewinds the RNG to just after that sample's draws, and
+// reports false: the input's later samples are dropped, and the next
+// input draws as if they had never been drawn.
+func (s *sampler) run(ii int, amp *Amplification, stats *Stats) bool {
+	n := len(s.phis)
+	if n == 0 {
+		return true
+	}
+	inst := s.inst
+	b := s.batch.Reset(&s.base, n)
+	for k := 0; k < n; k++ {
+		for w := s.off[k]; w < s.off[k+1]; w++ {
+			b.SetWord(k, s.addrs[w], s.vals[w])
 		}
 	}
-	return maxPhi
+	b.Run()
+	sec, ok := b.SecEndNext()
+	inPlace := ok && sec == inst.Sec
+	if inPlace {
+		s.shareBatch()
+	}
+	for k := 0; k < n; k++ {
+		finished, end := true, b.Dyn()+1
+		if inPlace && !b.Detached(k) {
+			s.survivor(k)
+		} else {
+			finished, end = s.finish(k)
+		}
+		stats.Runs++
+		stats.SimInstrs += end - (inst.BegDyn + 1)
+		if !finished {
+			// Perturbation diverged the section so far that it did not
+			// complete; treat as worst case for this input.
+			for oi := range amp.K {
+				amp.K[oi][ii] = DiscreteK
+			}
+			s.src.rewind(s.seed, s.draws[k])
+			return false
+		}
+		for oi := range amp.K {
+			if q := s.mags[oi] / s.phis[k]; q > amp.K[oi][ii] {
+				amp.K[oi][ii] = q
+			}
+		}
+	}
+	return true
+}
+
+// shareBatch starts reading the replicas of a batch stopped in front of
+// the instance's SECEND: it compares once with the clean exit the output
+// words every replica sees alike, and collects the words that are
+// columns.
+func (s *sampler) shareBatch() {
+	b, exit := &s.batch, s.inst.Exit
+	s.cols = s.cols[:0]
+	for oi, out := range s.inst.IO.Outputs {
+		mag := 0.0
+		for a := uint64(out.Addr); a < uint64(out.Addr+out.Len); a++ {
+			if v, ok := b.Word(a); ok {
+				mag = wordDiff(mag, exit.Mem[a], v)
+			} else {
+				s.cols = append(s.cols, outWord{a, oi})
+			}
+		}
+		s.shared[oi] = mag
+	}
+}
+
+// survivor sets mags to the output magnitudes of lockstep replica k of
+// the batch shareBatch last saw.
+func (s *sampler) survivor(k int) {
+	copy(s.mags, s.shared)
+	for _, w := range s.cols {
+		s.mags[w.out] = wordDiff(s.mags[w.out], s.inst.Exit.Mem[w.addr], s.batch.Read(k, w.addr))
+	}
+}
+
+// finish materializes replica k onto the fork machine and runs it to the
+// section's end on the scalar engine. It reports whether the section
+// finished, setting mags if so, and the dynamic count the run ended at.
+// The fork machine is reverted to the entry state before it returns.
+func (s *sampler) finish(k int) (bool, uint64) {
+	m, inst := &s.base, s.inst
+	limit := m.MaxDyn
+	m.BeginJournal()
+	s.batch.MaterializeInto(k, m)
+	finished := runToSecEnd(m, inst.Sec)
+	end := m.Dyn
+	if finished {
+		for oi, out := range inst.IO.Outputs {
+			s.mags[oi] = maxAbsDiff(out, inst.Exit, m)
+		}
+	}
+	if m.UndoJournal() {
+		m.CopyScalarsFrom(inst.Entry)
+	} else {
+		m.RestoreFrom(inst.Entry)
+	}
+	m.MaxDyn = limit
+	return finished, end
+}
+
+// countingSource is a math/rand source that counts its draws, so the
+// stream can be rewound to any point it has passed.
+type countingSource struct {
+	src rand.Source
+	n   int64
+}
+
+func (c *countingSource) Int63() int64 { c.n++; return c.src.Int63() }
+
+func (c *countingSource) Seed(seed int64) { c.n = 0; c.src.Seed(seed) }
+
+// rewind positions the stream seeded with seed just after its n-th draw.
+func (c *countingSource) rewind(seed, n int64) {
+	c.Seed(seed)
+	for c.n < n {
+		c.Int63()
+	}
 }
 
 // runToSecEnd resumes the machine until the SECEND of section sec executes.
@@ -184,18 +401,26 @@ func runToSecEnd(m *vm.Machine, sec int) bool {
 	}
 }
 
+// maxAbsDiff is the largest absolute difference between buffer b's words
+// in clean and dirty, read as float64; a NaN difference makes it +Inf.
 func maxAbsDiff(b spec.Buffer, clean, dirty *vm.Machine) float64 {
-	max := 0.0
-	for i := 0; i < b.Len; i++ {
-		cv := math.Float64frombits(clean.Mem[b.Addr+i])
-		dv := math.Float64frombits(dirty.Mem[b.Addr+i])
-		d := math.Abs(cv - dv)
-		if math.IsNaN(d) {
-			return math.Inf(1)
-		}
-		if d > max {
-			max = d
-		}
+	mag := 0.0
+	for a := b.Addr; a < b.Addr+b.Len; a++ {
+		mag = wordDiff(mag, clean.Mem[a], dirty.Mem[a])
 	}
-	return max
+	return mag
+}
+
+// wordDiff folds one word pair into a running maximum absolute
+// difference mag, reading both words as float64: a NaN difference makes
+// it +Inf, which nothing later lowers.
+func wordDiff(mag float64, clean, dirty uint64) float64 {
+	d := math.Abs(math.Float64frombits(clean) - math.Float64frombits(dirty))
+	switch {
+	case math.IsNaN(d):
+		return math.Inf(1)
+	case d > mag:
+		return d
+	}
+	return mag
 }

@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"fastflip/internal/prog"
 	"fastflip/internal/spec"
 	"fastflip/internal/testprog"
 	"fastflip/internal/trace"
+	"fastflip/internal/vm"
 )
 
 func recorded(t *testing.T) *trace.Trace {
@@ -146,5 +148,152 @@ func TestSeedVariesEstimate(t *testing.T) {
 	a2, _ := Analyze(tr, tr.Instances[1], cfg2)
 	if a1.K[0][0] == a2.K[0][0] {
 		t.Log("different seeds produced identical estimates (possible but unlikely)")
+	}
+}
+
+// steerProgram is one section over three float inputs whose perturbation
+// can stop it early. An a[0] raised by more than 0.009 branches to an
+// out-of-bounds load (a crash); a b[1] raised by more than 0.009 branches
+// into an endless loop (the sampling timeout); an a[1] raised at all takes
+// a second, finishing path, so replicas leave the batch Running too. c
+// enters y[1] squared, so its estimate depends on exactly which
+// perturbations the RNG draws, and z = sqrt(c-1) is NaN, an infinite
+// difference, whenever c is lowered.
+func steerProgram() *spec.Program {
+	const addrA, addrB, addrC, addrY, addrZ = 0, 2, 4, 6, 8
+	main := prog.NewFunc("main")
+	main.RoiBeg()
+	main.SecBeg(0)
+	main.Call("steer")
+	main.SecEnd(0)
+	main.RoiEnd()
+	main.Halt()
+
+	f := prog.NewFunc("steer")
+	f.Li(1, 0)
+	f.Fld(0, 1, addrA)
+	f.Fld(1, 1, addrA+1)
+	f.Fld(2, 1, addrB)
+	f.Fld(3, 1, addrB+1)
+	f.Fld(4, 1, addrC)
+	f.Fli(8, 1.009)
+	f.Fblt(8, 0, "crash")
+	f.Fblt(8, 3, "spin")
+	f.Fli(9, 1)
+	f.Fblt(9, 1, "alt")
+	f.Fadd(6, 0, 2)
+	f.Jmp("store")
+	f.Label("alt")
+	f.Fmul(6, 0, 2)
+	f.Label("store")
+	f.Fst(6, 1, addrY)
+	f.Fmul(7, 4, 4)
+	f.Fadd(7, 7, 1)
+	f.Fadd(7, 7, 3)
+	f.Fst(7, 1, addrY+1)
+	f.Fsub(5, 4, 9)
+	f.Fsqrt(5, 5)
+	f.Fst(5, 1, addrZ)
+	f.Ret()
+	f.Label("crash")
+	f.Li(2, 1<<40)
+	f.Ld(3, 2, 0)
+	f.Label("spin")
+	f.Jmp("spin")
+
+	p := prog.New()
+	p.MustAdd(main.MustBuild())
+	p.MustAdd(f.MustBuild())
+	linked, err := p.Link("main")
+	if err != nil {
+		panic(err)
+	}
+	a := spec.Buffer{Name: "a", Addr: addrA, Len: 2, Kind: spec.Float}
+	b := spec.Buffer{Name: "b", Addr: addrB, Len: 2, Kind: spec.Float}
+	c := spec.Buffer{Name: "c", Addr: addrC, Len: 1, Kind: spec.Float}
+	y := spec.Buffer{Name: "y", Addr: addrY, Len: 2, Kind: spec.Float}
+	z := spec.Buffer{Name: "z", Addr: addrZ, Len: 1, Kind: spec.Float}
+	return &spec.Program{
+		Name:     "steer",
+		Version:  "none",
+		Linked:   linked,
+		MemWords: 16,
+		Init: func(m *vm.Machine) {
+			for a := addrA; a < addrY; a++ {
+				m.Mem[a] = math.Float64bits(1)
+			}
+		},
+		Sections: []spec.Section{
+			{ID: 0, Name: "steer", Instances: []spec.InstanceIO{
+				{Inputs: []spec.Buffer{a, b, c}, Outputs: []spec.Buffer{y, z}, Live: []spec.Buffer{a, b, c, y, z}},
+			}},
+		},
+		FinalOutputs: []spec.Buffer{y, z},
+	}
+}
+
+// sameEstimate reports whether two estimates agree bit for bit.
+func sameEstimate(a, b *Amplification, sa, sb Stats) bool {
+	if sa != sb || len(a.K) != len(b.K) {
+		return false
+	}
+	for oi := range a.K {
+		if len(a.K[oi]) != len(b.K[oi]) {
+			return false
+		}
+		for ii := range a.K[oi] {
+			if math.Float64bits(a.K[oi][ii]) != math.Float64bits(b.K[oi][ii]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestBatchedSensBreakMatchesReference drives the early stop of an input:
+// a sample that crashes or times out partway through a's and b's samples
+// makes their column DiscreteK, counts that sample's run and instructions
+// but none after it, and leaves the RNG just after its draws, so b's and
+// c's samples are the scalar estimator's. Sample counts above one batch's
+// width split an input's samples over several batches.
+func TestBatchedSensBreakMatchesReference(t *testing.T) {
+	tr, err := trace.Record(steerProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := tr.Instances[0]
+	for _, samples := range []int{64, 150} {
+		for seed := int64(1); seed <= 8; seed++ {
+			cfg := Config{Samples: samples, PhiMax: 0.01, Seed: seed}
+			amp, stats := Analyze(tr, inst, cfg)
+			ref, refStats := analyzeReference(tr, inst, cfg)
+			if !sameEstimate(amp, ref, stats, refStats) {
+				t.Fatalf("samples %d seed %d: batched K %v %+v, scalar K %v %+v",
+					samples, seed, amp.K, stats, ref.K, refStats)
+			}
+		}
+	}
+
+	// With seed 3 both early stops fall partway through their input's
+	// samples: a stops at its 50th sample and b at its 23rd, while all 64
+	// of c's samples run.
+	cfg := DefaultConfig()
+	cfg.Seed = 3
+	amp, stats := Analyze(tr, inst, cfg)
+	for oi := range amp.K {
+		for ii := 0; ii < 2; ii++ {
+			if amp.K[oi][ii] != DiscreteK {
+				t.Errorf("K[%d][%d] = %v, want DiscreteK", oi, ii, amp.K[oi][ii])
+			}
+		}
+	}
+	if k := amp.K[0][2]; k == 0 || k == DiscreteK {
+		t.Errorf("K(c->y) = %v, want a finite estimate", k)
+	}
+	if k := amp.K[1][2]; !math.IsInf(k, 1) {
+		t.Errorf("K(c->z) = %v, want +Inf", k)
+	}
+	if stats.Runs != 50+23+64 {
+		t.Errorf("%d runs, want %d", stats.Runs, 50+23+64)
 	}
 }

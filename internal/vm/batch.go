@@ -186,6 +186,17 @@ func (b *Batch) FlipInt(k, reg int, bit uint) { b.flip(k, reg, bit) }
 // FlipFloat flips one bit of replica k's float register reg.
 func (b *Batch) FlipFloat(k, reg int, bit uint) { b.flip(k, isa.NumRegs+reg, bit) }
 
+// SetWord sets replica k's memory word addr to v: a per-replica change of
+// the fork state, like a flip, but in memory. It is valid only before the
+// batch's first Step. The word becomes a column in which every replica
+// SetWord has not set keeps the base value.
+func (b *Batch) SetWord(k int, addr, v uint64) {
+	if b.steps != 0 {
+		panic("vm: Batch.SetWord after the batch has stepped")
+	}
+	b.memColumn(addr)[k] = v
+}
+
 // flip flips one bit of replica k's register in slot s, first giving a
 // shared register a column if k is active.
 func (b *Batch) flip(k, s int, bit uint) {

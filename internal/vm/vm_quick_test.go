@@ -313,6 +313,51 @@ func TestBatchMatchesScalarQuick(t *testing.T) {
 	}
 }
 
+// Property: on random programs, a replica whose memory words SetWord
+// seeded at the fork, materialized when the batch stops and finished on a
+// scalar machine, ends with the event, dynamic count and state of a scalar
+// machine with the same words poked. Replicas seed zero to three words,
+// some of them twice, so columns mix seeded and base values.
+func TestBatchSetWordMatchesScalarQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		fork := randomProgram(rng, uint64(1+rng.Intn(60)))
+		if fork.RunUntilDyn(uint64(rng.Intn(4))); fork.Status != Running {
+			return true
+		}
+		type poke struct{ addr, v uint64 }
+		pokes := make([][]poke, 1+rng.Intn(20))
+		b := NewBatch(fork, len(pokes))
+		for k := range pokes {
+			for n := rng.Intn(4); n > 0; n-- {
+				p := poke{uint64(rng.Intn(len(fork.Mem))), uint64(rng.Intn(len(fork.Mem) + 2))}
+				b.SetWord(k, p.addr, p.v)
+				pokes[k] = append(pokes[k], p)
+			}
+		}
+		b.Run()
+		for k := range pokes {
+			got := fork.Clone()
+			b.MaterializeInto(k, got)
+			ev := got.Run()
+			want := fork.Clone()
+			for _, p := range pokes[k] {
+				want.Mem[p.addr] = p.v
+			}
+			wantEv := want.Run()
+			if ev != wantEv || !sameState(got, want) {
+				t.Logf("seed %d replica %d of %d: batch-finished %v %v/%v dyn %d, scalar %v %v/%v dyn %d",
+					seed, k, len(pokes), ev.Kind, got.Status, got.Crash, got.Dyn, wantEv.Kind, want.Status, want.Crash, want.Dyn)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, qcheck.Config(t, 3000)); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: on random programs, a batch's stop query agrees with the
 // scalar engine. Each survivor, materialized when the batch stops and run
 // to its next event on a scalar machine, raises EvSecEnd at dynamic count
