@@ -84,7 +84,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 
 	// Store round trip through the public API.
-	path := filepath.Join(t.TempDir(), "s.gob")
+	path := filepath.Join(t.TempDir(), "s.ffs")
 	if err := a.Store.Save(path); err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestStorePersistenceAcrossAnalyzers(t *testing.T) {
 	if _, err := a1.Analyze(testprog.Pipeline()); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sections.gob")
+	path := filepath.Join(t.TempDir(), "sections.ffs")
 	if err := a1.Store.Save(path); err != nil {
 		t.Fatal(err)
 	}

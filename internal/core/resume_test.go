@@ -314,3 +314,57 @@ func TestResumeFFTSmallAfterSIGKILL(t *testing.T) {
 		t.Errorf("resumed summary differs from uninterrupted run:\nref:     %+v\nresumed: %+v", sumRef, sum2)
 	}
 }
+
+// TestV1ManifestStartsFreshCampaign: a campaign directory whose manifest
+// was written by ManifestVersion 1 (bare gob, before the record frame)
+// is not resumed: the run notes "discarding unreadable manifest", starts
+// a fresh campaign that recovers nothing, writes a current manifest, and
+// reports the same summary as a run without a WAL.
+func TestV1ManifestStartsFreshCampaign(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	p := testprog.Pipeline()
+	rRef, err := NewAnalyzer(cfg).Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumRef := rRef.Summarize(cfg.Epsilon, nil)
+
+	dir := t.TempDir()
+	cfg.WALDir = dir
+	if _, err := NewAnalyzer(cfg).Analyze(p); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join("..", "store", "testdata", "v1.manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, sanitizeName(p.Name), manifestName)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Resume = true
+	r, err := NewAnalyzer(cfg).Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, n := range r.WALNotes {
+		found = found || strings.Contains(n, "discarding unreadable manifest")
+	}
+	if !found {
+		t.Errorf("no note about the v1 manifest; notes: %v", r.WALNotes)
+	}
+	if got := r.ResumedExperiments(); got != 0 {
+		t.Errorf("resumed %d experiments past an unreadable manifest", got)
+	}
+	if _, err := store.LoadManifest(path); err != nil {
+		t.Errorf("fresh campaign left no readable manifest: %v", err)
+	}
+	sum := r.Summarize(cfg.Epsilon, nil)
+	sumRef.Telemetry, sum.Telemetry = Telemetry{}, Telemetry{}
+	if !reflect.DeepEqual(sumRef, sum) {
+		t.Error("summary after discarding the manifest differs from a run without a WAL")
+	}
+}

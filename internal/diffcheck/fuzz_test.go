@@ -157,7 +157,7 @@ func TestOracleSweep(t *testing.T) {
 // TestIncrementalTierMatchesScratch runs the incremental oracle with the
 // reuse flowing through the shared outcome tier: two independent store
 // handles over one directory, every reused section round-tripping through
-// gob and a segment file. The acceptance bar for the shared tier is that
+// the binary section encoding and a segment file. The acceptance bar for the shared tier is that
 // this is indistinguishable from the warm in-memory store.
 func TestIncrementalTierMatchesScratch(t *testing.T) {
 	seeds := []uint64{1, 42}

@@ -197,9 +197,9 @@ func CheckIncremental(g *Prog, e *Edit) *Violation {
 // base program is analyzed by one process-equivalent (its own
 // ostore.Store handle over dir, publishing every section), the edited
 // program by a second handle with a completely fresh section store — so
-// every reused section must round-trip through gob, the segment file, and
-// the cross-handle directory rescan — and the result must still equal a
-// from-scratch analysis of the edited program. dir is a scratch
+// every reused section must round-trip through its binary encoding, the
+// segment file, and the cross-handle directory rescan — and the result
+// must still equal a from-scratch analysis of the edited program. dir is a scratch
 // directory; "" allocates a temporary one.
 func CheckIncrementalTier(g *Prog, e *Edit, dir string) *Violation {
 	edited := e.Apply(g)

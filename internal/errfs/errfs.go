@@ -6,8 +6,8 @@
 // tested with the same determinism it demands of its subjects.
 //
 // The interface is deliberately narrow: exactly the operations the WAL
-// and the gob stores perform (open/write/sync plus the rename-based
-// atomic-replace protocol and recovery's read/truncate). Anything the
+// and the record files perform (open/write/sync plus the rename-based
+// atomic-replace protocol of ReplaceFile and recovery's read/truncate). Anything the
 // persistence layer does not do has no seam, so a fault plan cannot
 // describe an impossible failure.
 package errfs
@@ -15,6 +15,7 @@ package errfs
 import (
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -54,6 +55,41 @@ func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(old
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
+
+// ReplaceFile atomically replaces path with the concatenation of chunks:
+// it writes them, one Write call each, to a temporary file in path's
+// directory, syncs and closes it, and renames it over path, so a crash
+// mid-write never leaves a truncated file behind. Every step goes through
+// fsys (nil = the real filesystem), so a fault plan can fail any of them;
+// on failure the temporary file is removed and path keeps its old
+// content.
+func ReplaceFile(fsys FS, path string, chunks ...[]byte) error {
+	if fsys == nil {
+		fsys = OS()
+	}
+	f, err := fsys.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*.tmp")
+	if err != nil {
+		return err
+	}
+	for _, c := range chunks {
+		if err == nil {
+			_, err = f.Write(c) // a short write returns an error (io.Writer)
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(f.Name(), path)
+	}
+	if err != nil {
+		fsys.Remove(f.Name())
+	}
+	return err
+}
 
 // Op classifies a filesystem operation for fault planning.
 type Op uint8

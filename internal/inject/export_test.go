@@ -2,6 +2,7 @@ package inject
 
 import (
 	"fastflip/internal/metrics"
+	"fastflip/internal/record"
 	"fastflip/internal/trace"
 	"fastflip/internal/vm"
 )
@@ -19,4 +20,18 @@ func SetVerdictCheck(f func(inst *trace.Instance, m *vm.Machine, got metrics.Out
 	old := verdictCheck
 	verdictCheck = f
 	return func() { verdictCheck = old }
+}
+
+// SetMaxPayload lowers the frame payload bound the WAL and the shard
+// stream writers enforce to n bytes and returns a function that restores
+// the previous framing.
+func SetMaxPayload(n int) (restore func()) {
+	old := appendFrame
+	appendFrame = func(dst, payload []byte) ([]byte, error) {
+		if len(payload) > n {
+			return dst, record.ErrTooLarge
+		}
+		return old(dst, payload)
+	}
+	return func() { appendFrame = old }
 }

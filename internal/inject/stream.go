@@ -1,9 +1,10 @@
 // Shard record streaming: the wire format a remote injection worker uses
 // to deliver its results back to a distributed coordinator.
 //
-// The stream reuses the WAL's record framing and payload encodings
-// verbatim — u32 payload length, u32 CRC-32C, payload with a leading type
-// byte — so a shard stream is literally a headerless WAL segment tail.
+// The stream reuses the WAL's record framing (internal/record) and payload
+// encodings verbatim — u32 payload length, u32 CRC-32C, payload with a
+// leading type byte — so a shard stream is literally a headerless WAL
+// segment tail.
 // A worker emits one experiment or poison frame per completed class,
 // flushed eagerly so the coordinator can merge (and durably log)
 // incrementally, and terminates a *complete* shard with a seal frame
@@ -13,10 +14,10 @@
 package inject
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"fastflip/internal/record"
 )
 
 // Stream record types, aliased from the WAL record types they share the
@@ -27,8 +28,9 @@ const (
 	StreamSeal       = walRecSeal
 )
 
-// StreamRecord is one decoded shard-stream frame. Type selects which
-// field is meaningful.
+// StreamRecord is one decoded record: a shard-stream frame, or a WAL
+// segment record when read back by recovery. Type selects which field is
+// meaningful.
 type StreamRecord struct {
 	Type byte
 	// Experiment is set for StreamExperiment frames.
@@ -37,6 +39,10 @@ type StreamRecord struct {
 	Poison WALPoison
 	// Seal is the worker's record count, set for StreamSeal frames.
 	Seal int
+	// Amp and Shard are set for a WAL segment's amplification and shard
+	// provenance records, which no shard stream carries.
+	Amp   *WALAmp
+	Shard WALShard
 }
 
 // StreamWriter frames experiment, poison, and seal records onto an
@@ -67,16 +73,17 @@ func (s *StreamWriter) WritePoison(p WALPoison) error {
 // experiment records that preceded it. A reader treats a stream ending
 // without a seal as partial.
 func (s *StreamWriter) WriteSeal(count int) error {
-	payload := []byte{walRecSeal}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(count))
-	return s.writeFrame(payload)
+	return s.writeFrame(appendSealPayload(nil, count))
 }
 
+// writeFrame frames and writes one payload. A payload the frame refuses
+// (over record.MaxPayload) is an error, not a frame every reader would
+// reject.
 func (s *StreamWriter) writeFrame(payload []byte) error {
-	buf := make([]byte, 0, 8+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
+	buf, err := appendFrame(make([]byte, 0, record.HeaderSize+len(payload)), payload)
+	if err != nil {
+		return fmt.Errorf("inject: stream: %w", err)
+	}
 	if _, err := s.w.Write(buf); err != nil {
 		return fmt.Errorf("inject: stream: %w", err)
 	}
@@ -94,13 +101,12 @@ func (s *StreamWriter) writeFrame(payload []byte) error {
 // StreamReader decodes shard-stream frames from an io.Reader
 // incrementally: each Next blocks until one full frame is available.
 type StreamReader struct {
-	r   io.Reader
-	hdr [8]byte
+	r *record.Reader
 }
 
 // NewStreamReader returns a reader decoding frames from r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{r: r}
+	return &StreamReader{r: record.NewReader(r)}
 }
 
 // Next decodes the next frame. It returns io.EOF at a clean frame
@@ -110,47 +116,19 @@ func NewStreamReader(r io.Reader) *StreamReader {
 // the stream as partial from that point: records already returned remain
 // valid — the same keep-the-good-prefix discipline as WAL recovery.
 func (s *StreamReader) Next() (StreamRecord, error) {
-	var rec StreamRecord
-	if _, err := io.ReadFull(s.r, s.hdr[:]); err != nil {
-		if err == io.EOF {
-			return rec, io.EOF
-		}
-		return rec, io.ErrUnexpectedEOF
+	payload, err := s.r.Next()
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return StreamRecord{}, err
 	}
-	n := int(binary.LittleEndian.Uint32(s.hdr[:4]))
-	sum := binary.LittleEndian.Uint32(s.hdr[4:])
-	if n == 0 || n > maxWALPayload {
-		return rec, fmt.Errorf("inject: stream: bad frame length %d", n)
+	if err != nil {
+		return StreamRecord{}, fmt.Errorf("inject: stream: %w", err)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(s.r, payload); err != nil {
-		return rec, io.ErrUnexpectedEOF
-	}
-	if crc32.Checksum(payload, crcTable) != sum {
-		return rec, fmt.Errorf("inject: stream: frame checksum mismatch")
-	}
-	rec.Type = payload[0]
-	body := payload[1:]
-	switch rec.Type {
-	case StreamExperiment:
-		r, err := parseExperimentPayload(body)
-		if err != nil {
-			return rec, fmt.Errorf("inject: stream: experiment frame: %w", err)
-		}
-		rec.Experiment = r
-	case StreamPoison:
-		p, err := parsePoisonPayload(body)
-		if err != nil {
-			return rec, fmt.Errorf("inject: stream: poison frame: %w", err)
-		}
-		rec.Poison = p
-	case StreamSeal:
-		if len(body) != 4 {
-			return rec, fmt.Errorf("inject: stream: malformed seal frame")
-		}
-		rec.Seal = int(binary.LittleEndian.Uint32(body))
-	default:
-		return rec, fmt.Errorf("inject: stream: unknown frame type %d", rec.Type)
+	rec, err := parseRecord(payload)
+	switch {
+	case err != nil:
+		return rec, fmt.Errorf("inject: stream: frame type %d: %w", rec.Type, err)
+	case rec.Type != StreamExperiment && rec.Type != StreamPoison && rec.Type != StreamSeal:
+		return rec, fmt.Errorf("inject: stream: unexpected frame type %d", rec.Type)
 	}
 	return rec, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"fastflip/internal/metrics"
 	"fastflip/internal/prog"
+	"fastflip/internal/record"
 	"fastflip/internal/sites"
 )
 
@@ -107,7 +108,7 @@ func TestStreamCorruption(t *testing.T) {
 		t.Errorf("corrupt payload: %v, want checksum error", err)
 	}
 
-	huge := binary.LittleEndian.AppendUint32(nil, uint32(maxWALPayload+1))
+	huge := binary.LittleEndian.AppendUint32(nil, uint32(record.MaxPayload+1))
 	huge = append(huge, 0, 0, 0, 0)
 	if _, err := NewStreamReader(bytes.NewReader(huge)).Next(); err == nil {
 		t.Error("overlong frame length accepted")

@@ -13,7 +13,8 @@
 //
 //	header   magic "FFWAL" + format version, section content key (32 bytes),
 //	         campaign config fingerprint (8 bytes)
-//	records  u32 payload length, u32 CRC-32C of payload, payload
+//	records  record frames (internal/record): u32 payload length,
+//	         u32 CRC-32C of payload, payload
 //
 // Record payloads start with a one-byte type: experiment (class key,
 // outcome, optional co-run final outcome, per-experiment cost counters),
@@ -42,16 +43,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"fastflip/internal/errfs"
-	"fastflip/internal/isa"
 	"fastflip/internal/metrics"
+	"fastflip/internal/record"
 	"fastflip/internal/sites"
 )
 
@@ -82,13 +81,9 @@ const maxPoisonStack = 8 << 10
 // Summary.WALDegraded instead of aborting.
 var ErrWALDegraded = errors.New("inject: wal degraded")
 
-// maxWALPayload bounds a single record so a corrupt length prefix cannot
-// trigger a huge allocation during recovery.
-const maxWALPayload = 1 << 24
-
-// crcTable is the Castagnoli polynomial, hardware-accelerated on the
-// platforms we run on.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// appendFrame frames a record payload for the WAL and the shard stream.
+// Tests swap it to lower the payload bound (export_test.go).
+var appendFrame = record.Append
 
 // WALRecord is one logged experiment: the equivalence class injected, its
 // outcome(s), and the cost the engine accounted for it.
@@ -244,23 +239,11 @@ func OpenSectionWALOpts(dir string, key [32]byte, fingerprint uint64, resume boo
 
 // writeSegmentHeader (re)creates the segment with just a synced header.
 func writeSegmentHeader(fsys errfs.FS, path string, key [32]byte, fingerprint uint64) error {
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	hdr := append(append(walMagic[:len(walMagic):len(walMagic)], key[:]...), binary.LittleEndian.AppendUint64(nil, fingerprint)...)
+	if err := errfs.ReplaceFile(fsys, path, hdr); err != nil {
 		return fmt.Errorf("inject: wal: %w", err)
 	}
-	hdr := make([]byte, 0, walHeaderSize)
-	hdr = append(hdr, walMagic[:]...)
-	hdr = append(hdr, key[:]...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, fingerprint)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("inject: wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("inject: wal: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // Append logs one completed experiment. The record is durable against
@@ -278,11 +261,15 @@ func (w *SectionWAL) Append(rec WALRecord) error {
 	return nil
 }
 
-// AppendAmp logs the section's sensitivity result.
+// AppendAmp logs the section's sensitivity result. A ragged matrix
+// cannot be encoded and degrades the segment like a failed write.
 func (w *SectionWAL) AppendAmp(a WALAmp) error {
-	payload := appendAmpPayload(nil, a)
+	payload, err := appendAmpPayload(nil, a)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err != nil {
+		return w.degrade(fmt.Errorf("inject: wal %s: %w", w.path, err))
+	}
 	return w.writeRecord(payload)
 }
 
@@ -314,10 +301,8 @@ func (w *SectionWAL) AppendShard(s WALShard) error {
 func (w *SectionWAL) Seal() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	payload := []byte{walRecSeal}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(w.count))
 	before := w.off
-	if err := w.writeRecord(payload); err != nil {
+	if err := w.writeRecord(appendSealPayload(nil, w.count)); err != nil {
 		return err
 	}
 	if err := w.retry.Do(w.f.Sync); err != nil {
@@ -378,16 +363,18 @@ func (w *SectionWAL) degrade(cause error) error {
 // mid-stream tear; if that truncation itself fails, the failure is
 // permanent. Once the retries are exhausted the segment degrades: the
 // error is latched and every further write is refused immediately with
-// ErrWALDegraded.
+// ErrWALDegraded. A payload the frame refuses (over record.MaxPayload)
+// degrades the segment at once: recovery would drop it and every record
+// after it.
 func (w *SectionWAL) writeRecord(payload []byte) error {
 	if w.cause != nil {
 		return fmt.Errorf("%w: %v", ErrWALDegraded, w.cause)
 	}
-	buf := make([]byte, 0, 8+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-	err := w.retry.Do(func() error {
+	buf, err := appendFrame(make([]byte, 0, record.HeaderSize+len(payload)), payload)
+	if err != nil {
+		return w.degrade(fmt.Errorf("inject: wal %s: %w", w.path, err))
+	}
+	err = w.retry.Do(func() error {
 		n, werr := w.f.Write(buf)
 		if werr == nil && n != len(buf) {
 			werr = io.ErrShortWrite
@@ -422,77 +409,54 @@ func recoverSegment(fsys errfs.FS, path string, key [32]byte, fingerprint uint64
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < walHeaderSize {
+	if len(data) < walHeaderSize || string(data[:len(walMagic)+32]) != string(walMagic[:])+string(key[:]) ||
+		binary.LittleEndian.Uint64(data[len(walMagic)+32:]) != fingerprint {
 		return nil, nil
 	}
-	hdr := data[:walHeaderSize]
-	if string(hdr[:len(walMagic)]) != string(walMagic[:]) {
-		return nil, nil
+	rec := scanSegment(data)
+	if rec.TruncatedBytes > 0 {
+		if err := fsys.Truncate(path, rec.validSize); err != nil {
+			return rec, fmt.Errorf("inject: wal %s: truncating torn tail: %w", path, err)
+		}
 	}
-	if string(hdr[len(walMagic):len(walMagic)+32]) != string(key[:]) {
-		return nil, nil
-	}
-	if binary.LittleEndian.Uint64(hdr[len(walMagic)+32:]) != fingerprint {
-		return nil, nil
-	}
+	return rec, nil
+}
 
+// scanSegment decodes the records behind a segment header up to the first
+// frame that does not validate or payload that does not decode — a length
+// that overruns the file, a checksum mismatch, or a structurally corrupt
+// payload behind a matching checksum. Everything from there on is the
+// torn tail.
+func scanSegment(data []byte) *Recovered {
 	rec := &Recovered{Records: map[sites.ClassKey]WALRecord{}}
-	off := walHeaderSize
-	valid := off // end of the last well-formed record
-	sealCount := -1
-	truncate := func() (*Recovered, error) {
-		rec.TruncatedBytes = int64(len(data) - valid)
-		rec.validSize = int64(valid)
-		return rec, truncateTo(fsys, path, valid)
-	}
+	sealCount, off := -1, walHeaderSize
 	for {
-		payload, next, ok := nextRecord(data, off)
+		payload, next, ok := record.Next(data, off)
 		if !ok {
 			break
 		}
-		typ := payload[0]
-		body := payload[1:]
-		switch typ {
+		r, err := parseRecord(payload)
+		if err != nil {
+			break
+		}
+		switch r.Type {
 		case walRecExperiment:
-			r, perr := parseExperimentPayload(body)
-			if perr != nil {
-				// Structurally corrupt despite a matching checksum: stop
-				// here and drop the rest of the file.
-				return truncate()
-			}
-			rec.Records[r.Key] = r
+			rec.Records[r.Experiment.Key] = r.Experiment
 		case walRecAmp:
-			a, perr := parseAmpPayload(body)
-			if perr != nil {
-				return truncate()
-			}
-			rec.Amp = a
+			rec.Amp = r.Amp
 		case walRecPoison:
-			p, perr := parsePoisonPayload(body)
-			if perr != nil {
-				return truncate()
-			}
-			rec.Poisoned = append(rec.Poisoned, p)
+			rec.Poisoned = append(rec.Poisoned, r.Poison)
 		case walRecShard:
-			s, perr := parseShardPayload(body)
-			if perr != nil {
-				return truncate()
-			}
-			rec.Shards = append(rec.Shards, s)
+			rec.Shards = append(rec.Shards, r.Shard)
 		case walRecSeal:
-			if len(body) == 4 {
-				sealCount = int(binary.LittleEndian.Uint32(body))
-			}
+			sealCount = r.Seal
 		}
 		off = next
-		valid = next
 	}
-	if valid < len(data) {
-		return truncate()
-	}
-	rec.validSize = int64(valid)
+	rec.validSize = int64(off)
+	rec.TruncatedBytes = int64(len(data) - off)
 	rec.Sealed = sealCount >= 0 && sealCount == len(rec.Records) && rec.Amp != nil
-	return rec, nil
+	return rec
 }
 
 // SegmentInfo is a read-only description of one WAL segment, taken without
@@ -536,108 +500,21 @@ func InspectSegment(path string) (SegmentInfo, error) {
 	if info.Version != walMagic[len(walMagic)-1] {
 		return info, fmt.Errorf("inject: wal %s: unknown format version %d", path, info.Version)
 	}
-	off := walHeaderSize
-	sealCount := -1
-	for {
-		payload, next, ok := nextRecord(data, off)
-		if !ok {
-			break
-		}
-		switch payload[0] {
-		case walRecExperiment:
-			info.Experiments++
-		case walRecAmp:
-			info.HasAmp = true
-		case walRecPoison:
-			info.Poisoned++
-		case walRecShard:
-			if s, perr := parseShardPayload(payload[1:]); perr == nil {
-				info.Shards = append(info.Shards, s)
-			}
-		case walRecSeal:
-			if len(payload) == 5 {
-				sealCount = int(binary.LittleEndian.Uint32(payload[1:]))
-			}
-		}
-		off = next
-	}
-	info.TailBytes = int64(len(data) - off)
-	info.Sealed = sealCount >= 0 && sealCount == info.Experiments && info.HasAmp
+	rec := scanSegment(data)
+	info.Experiments, info.HasAmp, info.Sealed = len(rec.Records), rec.Amp != nil, rec.Sealed
+	info.Poisoned, info.Shards, info.TailBytes = len(rec.Poisoned), rec.Shards, rec.TruncatedBytes
 	return info, nil
-}
-
-// nextRecord frames the record at off, verifying length and checksum.
-func nextRecord(data []byte, off int) (payload []byte, next int, ok bool) {
-	if off+8 > len(data) {
-		return nil, 0, false
-	}
-	n := int(binary.LittleEndian.Uint32(data[off:]))
-	sum := binary.LittleEndian.Uint32(data[off+4:])
-	if n == 0 || n > maxWALPayload || off+8+n > len(data) {
-		return nil, 0, false
-	}
-	payload = data[off+8 : off+8+n]
-	if crc32.Checksum(payload, crcTable) != sum {
-		return nil, 0, false
-	}
-	return payload, off + 8 + n, true
-}
-
-// truncateTo cuts the segment file back to its last well-formed record.
-func truncateTo(fsys errfs.FS, path string, size int) error {
-	if err := fsys.Truncate(path, int64(size)); err != nil {
-		return fmt.Errorf("inject: wal %s: truncating torn tail: %w", path, err)
-	}
-	return nil
 }
 
 // --- payload encoding -------------------------------------------------
 
-// appendClassKey encodes an equivalence-class key (the shared prefix of
-// experiment and poison payloads).
-func appendClassKey(buf []byte, key sites.ClassKey) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key.Static.Func)))
-	buf = append(buf, key.Static.Func...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(key.Static.Local))
-	buf = append(buf, byte(key.Role), key.Bit)
-	return buf
-}
-
-func parseClassKey(r *walReader) (sites.ClassKey, error) {
-	var key sites.ClassKey
-	n, err := r.u32()
-	if err != nil {
-		return key, err
-	}
-	fn, err := r.bytes(int(n))
-	if err != nil {
-		return key, err
-	}
-	key.Static.Func = string(fn)
-	local, err := r.u32()
-	if err != nil {
-		return key, err
-	}
-	key.Static.Local = int(int32(local))
-	role, err := r.u8()
-	if err != nil {
-		return key, err
-	}
-	bit, err := r.u8()
-	if err != nil {
-		return key, err
-	}
-	key.Role, key.Bit = isa.OperandRole(role), bit
-	return key, nil
-}
-
 func appendExperimentPayload(buf []byte, rec WALRecord) []byte {
 	buf = append(buf, walRecExperiment)
-	buf = appendClassKey(buf, rec.Key)
-	buf = appendOutcome(buf, rec.Out)
+	buf = record.AppendClassKey(buf, rec.Key)
+	buf = record.AppendOutcome(buf, rec.Out)
 	if rec.Fin != nil {
 		buf = append(buf, 1)
-		buf = appendOutcome(buf, *rec.Fin)
+		buf = record.AppendOutcome(buf, *rec.Fin)
 	} else {
 		buf = append(buf, 0)
 	}
@@ -666,277 +543,69 @@ const (
 	walFlagBatched = byte(1 << 1)
 )
 
-func appendOutcome(buf []byte, o metrics.Outcome) []byte {
-	buf = append(buf, byte(o.Kind), byte(o.Reason))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(o.Magnitudes)))
-	for _, m := range o.Magnitudes {
-		// Raw bits round-trip the ±Inf conservative magnitudes exactly.
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m))
+// parseRecord decodes one record payload: a type byte, then the body that
+// type names. The WAL, its inspection and the shard stream all read
+// records through it.
+func parseRecord(payload []byte) (StreamRecord, error) {
+	rec := StreamRecord{Type: payload[0]}
+	d := record.NewDecoder(payload[1:])
+	switch rec.Type {
+	case walRecExperiment:
+		rec.Experiment = readExperiment(d)
+	case walRecAmp:
+		rec.Amp = &WALAmp{K: d.Matrix(), Runs: int(d.U64()), SimInstrs: d.U64()}
+	case walRecPoison:
+		rec.Poison = WALPoison{Key: d.ClassKey(), Attempts: int(d.U32()), MachineFP: d.U64(), Stack: d.Str()}
+	case walRecShard:
+		rec.Shard = WALShard{Worker: d.Str(), Epoch: d.U64(), Lo: int(d.U32()), Hi: int(d.U32()), Records: int(d.U32())}
+	case walRecSeal:
+		rec.Seal = int(d.U32())
+	default:
+		return rec, fmt.Errorf("inject: unknown record type %d", rec.Type)
 	}
-	return buf
+	return rec, d.Finish()
 }
 
-var errWALShort = errors.New("inject: wal: short record payload")
-
-type walReader struct {
-	b []byte
-}
-
-func (r *walReader) bytes(n int) ([]byte, error) {
-	if n < 0 || len(r.b) < n {
-		return nil, errWALShort
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out, nil
-}
-
-func (r *walReader) u8() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *walReader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *walReader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func parseExperimentPayload(body []byte) (WALRecord, error) {
-	r := &walReader{b: body}
-	var rec WALRecord
-	var err error
-	if rec.Key, err = parseClassKey(r); err != nil {
-		return rec, err
-	}
-	if rec.Out, err = parseOutcome(r); err != nil {
-		return rec, err
-	}
-	hasFin, err := r.u8()
-	if err != nil {
-		return rec, err
-	}
-	if hasFin != 0 {
-		fin, err := parseOutcome(r)
-		if err != nil {
-			return rec, err
-		}
+func readExperiment(d *record.Decoder) WALRecord {
+	rec := WALRecord{Key: d.ClassKey(), Out: d.Outcome()}
+	if d.Bool() {
+		fin := d.Outcome()
 		rec.Fin = &fin
 	}
-	rec.Cost.Experiments = 1
-	if rec.Cost.SimInstrs, err = r.u64(); err != nil {
-		return rec, err
-	}
-	if rec.Cost.CleanInstrs, err = r.u64(); err != nil {
-		return rec, err
-	}
-	if rec.Cost.FaultyInstrs, err = r.u64(); err != nil {
-		return rec, err
-	}
-	flags, err := r.u8()
-	if err != nil {
-		return rec, err
-	}
-	if rec.Cost.ElidedInstrs, err = r.u64(); err != nil {
-		return rec, err
-	}
+	rec.Cost = Stats{Experiments: 1, SimInstrs: d.U64(), CleanInstrs: d.U64(), FaultyInstrs: d.U64()}
+	flags := d.U8()
+	rec.Cost.ElidedInstrs = d.U64()
 	if flags&walFlagElided != 0 {
 		rec.Cost.ElidedExperiments = 1
 	}
 	if flags&walFlagBatched != 0 {
 		rec.Cost.BatchExperiments = 1
 	}
-	if len(r.b) != 0 {
-		return rec, errWALShort
-	}
-	return rec, nil
+	return rec
 }
 
-func parseOutcome(r *walReader) (metrics.Outcome, error) {
-	var o metrics.Outcome
-	kind, err := r.u8()
-	if err != nil {
-		return o, err
-	}
-	reason, err := r.u8()
-	if err != nil {
-		return o, err
-	}
-	o.Kind, o.Reason = metrics.OutcomeKind(kind), metrics.DetectReason(reason)
-	n, err := r.u32()
-	if err != nil {
-		return o, err
-	}
-	if n > maxWALPayload/8 {
-		return o, errWALShort
-	}
-	if n > 0 {
-		o.Magnitudes = make([]float64, n)
-		for i := range o.Magnitudes {
-			bits, err := r.u64()
-			if err != nil {
-				return o, err
-			}
-			o.Magnitudes[i] = math.Float64frombits(bits)
-		}
-	}
-	return o, nil
-}
-
-func appendAmpPayload(buf []byte, a WALAmp) []byte {
-	buf = append(buf, walRecAmp)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.K)))
-	cols := 0
-	if len(a.K) > 0 {
-		cols = len(a.K[0])
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(cols))
-	for _, row := range a.K {
-		for _, v := range row {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
+func appendAmpPayload(buf []byte, a WALAmp) ([]byte, error) {
+	buf, err := record.AppendMatrix(append(buf, walRecAmp), a.K)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.Runs))
-	buf = binary.LittleEndian.AppendUint64(buf, a.SimInstrs)
-	return buf
+	return binary.LittleEndian.AppendUint64(buf, a.SimInstrs), err
 }
 
 func appendPoisonPayload(buf []byte, p WALPoison) []byte {
 	buf = append(buf, walRecPoison)
-	buf = appendClassKey(buf, p.Key)
+	buf = record.AppendClassKey(buf, p.Key)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Attempts))
 	buf = binary.LittleEndian.AppendUint64(buf, p.MachineFP)
-	stack := p.Stack
-	if len(stack) > maxPoisonStack {
-		stack = stack[:maxPoisonStack]
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(stack)))
-	buf = append(buf, stack...)
-	return buf
-}
-
-func parsePoisonPayload(body []byte) (WALPoison, error) {
-	r := &walReader{b: body}
-	var p WALPoison
-	var err error
-	if p.Key, err = parseClassKey(r); err != nil {
-		return p, err
-	}
-	attempts, err := r.u32()
-	if err != nil {
-		return p, err
-	}
-	p.Attempts = int(attempts)
-	if p.MachineFP, err = r.u64(); err != nil {
-		return p, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return p, err
-	}
-	stack, err := r.bytes(int(n))
-	if err != nil {
-		return p, err
-	}
-	p.Stack = string(stack)
-	if len(r.b) != 0 {
-		return p, errWALShort
-	}
-	return p, nil
+	return record.AppendString(buf, p.Stack[:min(len(p.Stack), maxPoisonStack)])
 }
 
 func appendShardPayload(buf []byte, s WALShard) []byte {
-	buf = append(buf, walRecShard)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Worker)))
-	buf = append(buf, s.Worker...)
+	buf = record.AppendString(append(buf, walRecShard), s.Worker)
 	buf = binary.LittleEndian.AppendUint64(buf, s.Epoch)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Lo))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Hi))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Records))
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, uint32(s.Records))
 }
 
-func parseShardPayload(body []byte) (WALShard, error) {
-	r := &walReader{b: body}
-	var s WALShard
-	n, err := r.u32()
-	if err != nil {
-		return s, err
-	}
-	worker, err := r.bytes(int(n))
-	if err != nil {
-		return s, err
-	}
-	s.Worker = string(worker)
-	if s.Epoch, err = r.u64(); err != nil {
-		return s, err
-	}
-	lo, err := r.u32()
-	if err != nil {
-		return s, err
-	}
-	hi, err := r.u32()
-	if err != nil {
-		return s, err
-	}
-	recs, err := r.u32()
-	if err != nil {
-		return s, err
-	}
-	s.Lo, s.Hi, s.Records = int(lo), int(hi), int(recs)
-	if len(r.b) != 0 {
-		return s, errWALShort
-	}
-	return s, nil
-}
-
-func parseAmpPayload(body []byte) (*WALAmp, error) {
-	r := &walReader{b: body}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	cols, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(rows)*uint64(cols) > maxWALPayload/8 {
-		return nil, errWALShort
-	}
-	a := &WALAmp{K: make([][]float64, rows)}
-	for i := range a.K {
-		a.K[i] = make([]float64, cols)
-		for j := range a.K[i] {
-			bits, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			a.K[i][j] = math.Float64frombits(bits)
-		}
-	}
-	runs, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	a.Runs = int(runs)
-	if a.SimInstrs, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if len(r.b) != 0 {
-		return nil, errWALShort
-	}
-	return a, nil
+func appendSealPayload(buf []byte, count int) []byte {
+	return binary.LittleEndian.AppendUint32(append(buf, walRecSeal), uint32(count))
 }

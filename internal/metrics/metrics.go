@@ -53,7 +53,7 @@ const (
 	// DetectTrap is a hardening detector firing (vm.CrashTrap): the
 	// duplicated computation disagreed with the protected instruction and
 	// the program trapped. Appended at the end so persisted reason values
-	// (WAL records, gob store entries) keep decoding.
+	// (WAL records, store and shared-tier records) keep decoding.
 	DetectTrap
 )
 

@@ -1,8 +1,6 @@
 package ostore
 
 import (
-	"bytes"
-	"encoding/gob"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -208,10 +206,10 @@ func TestTierCountsItsOwnLookups(t *testing.T) {
 	}
 }
 
-// TestApproxEncodedSizeTracksGob: the size a memory-only store charges a
-// section stays close to its gob payload, the unit MaxCacheBytes is
-// measured in.
-func TestApproxEncodedSizeTracksGob(t *testing.T) {
+// TestMemoryOnlySizeIsEncodedLength: a memory-only store charges each
+// section exactly the payload a directory-backed store writes for it, the
+// unit MaxCacheBytes and Stats.Bytes are measured in.
+func TestMemoryOnlySizeIsEncodedLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	big := &store.Section{
 		Outcomes: map[sites.ClassKey]store.Outcome{},
@@ -227,14 +225,28 @@ func TestApproxEncodedSizeTracksGob(t *testing.T) {
 		big.Outcomes[k] = store.Outcome{Kind: metrics.SDC, Magnitudes: mags}
 		big.Final[k] = store.Outcome{Kind: metrics.Detected, Reason: metrics.DetectCrash}
 	}
-	for _, sec := range []*store.Section{testSection(1), big} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(segRecord{Sec: sec}); err != nil {
+	for i, sec := range []*store.Section{testSection(1), big, {}} {
+		enc, err := appendRecord(nil, testKey(i), "tenant", sec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		est, enc := approxEncodedSize(sec), int64(buf.Len())
-		if est < enc*3/4 || est > enc*3/2 {
-			t.Errorf("%d outcomes: estimate %d bytes, gob %d", len(sec.Outcomes), est, enc)
+		mem := mustOpen(t, Options{})
+		disk := mustOpen(t, Options{Dir: t.TempDir()})
+		for _, s := range []*Store{mem, disk} {
+			if err := s.Put("tenant", testKey(i), sec); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if got := mem.Stats().CacheBytes; got != int64(len(enc)) {
+			t.Errorf("section %d: memory-only size %d, encoded length %d", i, got, len(enc))
+		}
+		if got := disk.Stats().Bytes; got != int64(len(enc)) {
+			t.Errorf("section %d: on-disk size %d, encoded length %d", i, got, len(enc))
+		}
+		mem.Close()
+		disk.Close()
 	}
 }

@@ -8,22 +8,24 @@
 //
 // On-disk layout (one directory, shared by any number of processes):
 //
-//	seg-*.ffo   immutable segment files: a header followed by
-//	            length-prefixed, CRC-32C-checksummed records, each a
-//	            gob-encoded store.Section with its key and publishing
-//	            tenant. Segments are published atomically (written to a
-//	            temp file, synced, renamed), so a reader never observes
-//	            a half-written segment under normal operation.
+//	seg-*.ffo   immutable segment files: segMagic followed by record
+//	            frames (internal/record), each holding a section's key,
+//	            its publishing tenant and the section's binary encoding
+//	            (store.AppendSection). Segments are published atomically
+//	            (written to a temp file, synced, renamed), so a reader
+//	            never observes a half-written segment under normal
+//	            operation.
 //	index.ffi   checkpoint of the in-memory index (key → segment/offset
-//	            plus the byte size of every segment it accounts for),
-//	            CRC-framed and atomically replaced. Purely an
-//	            accelerator: a missing or corrupt checkpoint falls back
-//	            to scanning every segment, so a flipped index byte can
-//	            cost reuse, never correctness.
+//	            plus the byte size of every segment it accounts for):
+//	            indexMagic and one record frame around a gob payload,
+//	            atomically replaced. Purely an accelerator: a missing or
+//	            corrupt checkpoint falls back to scanning every segment,
+//	            so a flipped index byte can cost reuse, never
+//	            correctness.
 //
 // Writers never append to a published segment: each Flush seals the
 // sections staged since the last one into a fresh segment file with a
-// unique name, which is what makes concurrent publishes from independent
+// random name, which is what makes concurrent publishes from independent
 // Manager processes safe — the only shared mutable file is the index
 // checkpoint, and that is advisory. Readers pick up other writers'
 // segments lazily: a lookup that misses the in-memory index rescans the
@@ -41,12 +43,11 @@ package ostore
 import (
 	"bytes"
 	"container/list"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
@@ -55,24 +56,24 @@ import (
 	"sync/atomic"
 
 	"fastflip/internal/errfs"
-	"fastflip/internal/sites"
+	"fastflip/internal/record"
 	"fastflip/internal/store"
 )
 
 // segMagic identifies a segment file and its format version; bump the
 // version byte on any incompatible change so old files are skipped, not
-// misparsed.
-var segMagic = [8]byte{'F', 'F', 'O', 'S', 'G', 0, 0, 1}
+// misparsed. Version 2 replaced gob records with the binary section
+// encoding.
+var segMagic = [8]byte{'F', 'F', 'O', 'S', 'G', 0, 0, 2}
 
-// indexMagic identifies the index checkpoint file.
-var indexMagic = [8]byte{'F', 'F', 'O', 'I', 'X', 0, 0, 1}
+// indexMagic identifies the index checkpoint file. Its version moves with
+// segMagic's, so a checkpoint never points into segments of another
+// format.
+var indexMagic = [8]byte{'F', 'F', 'O', 'I', 'X', 0, 0, 2}
 
-// maxRecordBytes bounds one record so a corrupt length prefix cannot
-// trigger a huge allocation during a scan.
-const maxRecordBytes = 1 << 26
-
-// crcTable is the Castagnoli polynomial, as used by the WAL.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// appendFrame frames a segment record. Tests swap it to lower the payload
+// bound (export_test.go).
+var appendFrame = record.Append
 
 // ErrClosed is returned by operations on a closed Store.
 var ErrClosed = errors.New("ostore: store closed")
@@ -89,9 +90,9 @@ type Options struct {
 	// Chaos tests inject publish faults through it.
 	FS errfs.FS
 	// MaxCacheBytes bounds the in-memory LRU of decoded sections,
-	// measured in encoded payload bytes, estimated without encoding in a
-	// memory-only store (default 64 MiB; negative disables caching, which
-	// leaves a memory-only store empty).
+	// measured in encoded record payload bytes, which a memory-only store
+	// also encodes to count (default 64 MiB; negative disables caching,
+	// which leaves a memory-only store empty).
 	MaxCacheBytes int64
 	// TenantQuotaBytes bounds the live on-disk bytes attributed to any
 	// one publishing tenant; beyond it, that tenant's oldest sections
@@ -179,6 +180,7 @@ type Store struct {
 	pending map[store.Key]*pendingRec
 	pendOrd []store.Key // staging order, for deterministic segments
 	pendSz  int64
+	scratch []byte // reused by Put to encode a record
 
 	lru     *list.List // front = most recent
 	lruByK  map[store.Key]*list.Element
@@ -195,8 +197,8 @@ type Store struct {
 type pendingRec struct {
 	tenant string
 	sec    *store.Section
-	enc    []byte // gob payload, encoded at Put time; nil when memory-only
-	size   int64  // len(enc), or approxEncodedSize when memory-only
+	frame  []byte // the framed record, encoded at Put time; nil when memory-only
+	size   int64  // the record's payload length
 }
 
 // Open opens (creating if necessary) the shared store in opts.Dir and
@@ -242,22 +244,18 @@ func Open(opts Options) (*Store, error) {
 // memOnly reports whether the store runs without a directory.
 func (s *Store) memOnly() bool { return s.opts.Dir == "" }
 
-// approxEncodedSize estimates the gob payload size of sec without
-// encoding it, from the bytes gob spends per outcome, magnitude and
-// matrix entry. A memory-only store sizes its LRU entries with it:
-// encoding every published section just to measure it took a sixth of a
-// service run's CPU.
-func approxEncodedSize(sec *store.Section) int64 {
-	n := 416 // an empty record: the key and gob's type descriptors
-	for _, m := range []map[sites.ClassKey]store.Outcome{sec.Outcomes, sec.Final} {
-		for k, o := range m {
-			n += len(k.Static.Func) + 16 + 9*len(o.Magnitudes)
-		}
-	}
-	for _, row := range sec.Amp {
-		n += 2 + 9*len(row)
-	}
-	return int64(n)
+// A segment record's payload is the section's content key, its
+// publishing tenant as a string, and the section's binary encoding.
+func appendRecord(dst []byte, key store.Key, tenant string, sec *store.Section) ([]byte, error) {
+	return store.AppendSection(record.AppendString(append(dst, key[:]...), tenant), sec)
+}
+
+func decodeRecord(payload []byte) (key store.Key, tenant string, sec *store.Section, err error) {
+	d := record.NewDecoder(payload)
+	copy(key[:], d.Bytes(len(key)))
+	tenant = d.Str()
+	sec = store.ReadSection(d)
+	return key, tenant, sec, d.Finish()
 }
 
 // tenantLocked returns (creating) the counters for tenant.
@@ -348,17 +346,19 @@ func (s *Store) Put(tenant string, key store.Key, sec *store.Section) error {
 	if _, ok := s.lruByK[key]; ok && s.memOnly() {
 		return nil
 	}
-	p := &pendingRec{tenant: tenant, sec: sec}
-	if s.memOnly() {
-		// Nothing is written, so the payload is only needed for its size.
-		p.size = approxEncodedSize(sec)
-	} else {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(segRecord{Key: key, Tenant: tenant, Sec: sec}); err != nil {
-			return fmt.Errorf("ostore: encoding section %s: %w", key, err)
-		}
-		p.enc, p.size = buf.Bytes(), int64(buf.Len())
+	// A memory-only store encodes only to size the entry. A record the
+	// frame refuses is refused here, not written for every reader to
+	// drop together with the records behind it.
+	payload, err := appendRecord(s.scratch[:0], key, tenant, sec)
+	var frame []byte
+	if err == nil && !s.memOnly() {
+		frame, err = appendFrame(make([]byte, 0, record.HeaderSize+len(payload)), payload)
 	}
+	if err != nil {
+		return fmt.Errorf("ostore: encoding section %s: %w", key, err)
+	}
+	s.scratch = payload[:0]
+	p := &pendingRec{tenant: tenant, sec: sec, frame: frame, size: int64(len(payload))}
 	s.pending[key] = p
 	s.pendOrd = append(s.pendOrd, key)
 	s.pendSz += p.size
@@ -370,10 +370,11 @@ func (s *Store) Put(tenant string, key store.Key, sec *store.Section) error {
 	return nil
 }
 
-// Flush publishes the staged sections as one new segment file: encode
-// into a temp file in the store directory, sync, close, rename — the
-// same atomic-replace discipline as store.Save, through the same errfs
-// seam. On failure the staged batch is retained for the next attempt.
+// Flush publishes the staged sections as one new segment file through
+// errfs.ReplaceFile — temp file in the store directory, sync, close,
+// rename — the same atomic-replace discipline as store.Save, through the
+// same errfs seam. On failure the staged batch is retained for the next
+// attempt.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -414,17 +415,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// segRecord is the gob payload of one record.
-type segRecord struct {
-	Key    store.Key
-	Tenant string
-	Sec    *store.Section
-}
-
-// frameHeaderSize is the per-record frame: u32 payload length, u32
-// CRC-32C over key-independent payload bytes.
-const frameHeaderSize = 8
-
 // flushLocked publishes the pending batch; no-op when it is empty. A
 // memory-only store moves the batch into the LRU instead.
 func (s *Store) flushLocked() error {
@@ -439,57 +429,17 @@ func (s *Store) flushLocked() error {
 		s.resetPendingLocked()
 		return nil
 	}
-	f, err := s.fs.CreateTemp(s.opts.Dir, ".seg-*.tmp")
-	if err != nil {
-		s.stats.FlushErrs++
-		return fmt.Errorf("ostore: publish: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		s.fs.Remove(tmp)
-		s.stats.FlushErrs++
-		return fmt.Errorf("ostore: publish: %w", err)
-	}
-	if _, err := f.Write(segMagic[:]); err != nil {
-		return fail(err)
-	}
-	type placed struct {
-		key store.Key
-		off int64
-		n   int64
-	}
-	offsets := make([]placed, 0, len(s.pendOrd))
+	// A random name keeps concurrent writers sharing the directory apart.
+	segName := fmt.Sprintf("seg-%016x.ffo", rand.Uint64())
+	chunks := [][]byte{segMagic[:]}
+	offsets := make([]int64, len(s.pendOrd))
 	off := int64(len(segMagic))
-	var hdr [frameHeaderSize]byte
-	for _, key := range s.pendOrd {
-		p := s.pending[key]
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p.enc)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p.enc, crcTable))
-		if _, err := f.Write(hdr[:]); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(p.enc); err != nil {
-			return fail(err)
-		}
-		n := int64(frameHeaderSize + len(p.enc))
-		offsets = append(offsets, placed{key: key, off: off, n: n})
-		off += n
+	for i, key := range s.pendOrd {
+		chunks = append(chunks, s.pending[key].frame)
+		offsets[i] = off
+		off += int64(len(s.pending[key].frame))
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		f = nil
-		s.fs.Remove(tmp)
-		s.stats.FlushErrs++
-		return fmt.Errorf("ostore: publish: %w", err)
-	}
-	// The temp name's random suffix makes the published name unique
-	// across concurrent writers sharing the directory.
-	segName := "seg-" + sanitizeSuffix(filepath.Base(tmp)) + ".ffo"
-	if err := s.fs.Rename(tmp, filepath.Join(s.opts.Dir, segName)); err != nil {
-		s.fs.Remove(tmp)
+	if err := errfs.ReplaceFile(s.fs, filepath.Join(s.opts.Dir, segName), chunks...); err != nil {
 		s.stats.FlushErrs++
 		return fmt.Errorf("ostore: publish: %w", err)
 	}
@@ -500,12 +450,12 @@ func (s *Store) flushLocked() error {
 	// segment between Put and Flush).
 	live := 0
 	s.segs[segName] = segInfo{size: off}
-	for _, pl := range offsets {
-		p := s.pending[pl.key]
-		if s.indexInsertLocked(pl.key, loc{Seg: segName, Off: pl.off, Len: pl.n, Tenant: p.tenant}) {
+	for i, key := range s.pendOrd {
+		p := s.pending[key]
+		if s.indexInsertLocked(key, loc{Seg: segName, Off: offsets[i], Len: int64(len(p.frame)), Tenant: p.tenant}) {
 			live++
 		}
-		s.cacheInsertLocked(pl.key, p.sec, pl.n-frameHeaderSize)
+		s.cacheInsertLocked(key, p.sec, p.size)
 	}
 	if live == 0 {
 		// Every record lost the first-write race: the segment holds only
@@ -529,20 +479,6 @@ func (s *Store) resetPendingLocked() {
 	s.pendSz = 0
 }
 
-// sanitizeSuffix turns a temp-file base name into a safe segment-name
-// suffix (the random portion is what matters).
-func sanitizeSuffix(base string) string {
-	base = strings.TrimPrefix(base, ".seg-")
-	base = strings.TrimSuffix(base, ".tmp")
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
-		}
-		return '_'
-	}, base)
-}
-
 // indexInsertLocked records a live entry, first-write-wins: a key that is
 // already live keeps its existing location (section payloads are
 // immutable, so the copies are interchangeable) and the new record is
@@ -554,9 +490,9 @@ func (s *Store) indexInsertLocked(key store.Key, l loc) bool {
 	s.nextSeq++
 	l.Seq = s.nextSeq
 	s.index[key] = l
-	s.stats.Bytes += l.Len - frameHeaderSize
+	s.stats.Bytes += l.Len - record.HeaderSize
 	ts := s.tenantLocked(l.Tenant)
-	ts.Bytes += l.Len - frameHeaderSize
+	ts.Bytes += l.Len - record.HeaderSize
 	s.tenantOrder[l.Tenant] = append(s.tenantOrder[l.Tenant], key)
 	return true
 }
@@ -585,9 +521,9 @@ func (s *Store) dropLocked(key store.Key) {
 		return
 	}
 	delete(s.index, key)
-	s.stats.Bytes -= l.Len - frameHeaderSize
+	s.stats.Bytes -= l.Len - record.HeaderSize
 	if ts := s.tenants[l.Tenant]; ts != nil {
-		ts.Bytes -= l.Len - frameHeaderSize
+		ts.Bytes -= l.Len - record.HeaderSize
 	}
 	if el, ok := s.lruByK[key]; ok {
 		s.lruRemoveLocked(el)
@@ -665,7 +601,7 @@ func (s *Store) loadLocked(l loc) *store.Section {
 	}
 	var want *store.Section
 	s.scanRecords(data, func(key store.Key, tenant string, sec *store.Section, off, n int64) {
-		s.cacheInsertLocked(key, sec, n-frameHeaderSize)
+		s.cacheInsertLocked(key, sec, n-record.HeaderSize)
 		if off == l.Off {
 			want = sec
 		}
@@ -676,35 +612,27 @@ func (s *Store) loadLocked(l loc) *store.Section {
 	return want
 }
 
-// scanRecords walks a segment image, invoking fn for every record whose
-// frame and checksum validate, and stops at the first torn or corrupt
-// frame (everything after an undetected flip cannot be trusted to be
-// framed correctly).
+// scanRecords walks a segment image, invoking fn for every record that
+// frames and decodes, and stops at the first torn or corrupt record,
+// counting it in Corrupt (everything after an undetected flip cannot be
+// trusted to be framed correctly). A segment of another format version
+// counts as corrupt from its first byte.
 func (s *Store) scanRecords(data []byte, fn func(key store.Key, tenant string, sec *store.Section, off, n int64)) {
-	if len(data) < len(segMagic) || !bytes.Equal(data[:len(segMagic)], segMagic[:]) {
+	if !bytes.HasPrefix(data, segMagic[:]) {
 		s.stats.Corrupt++
 		return
 	}
-	off := int64(len(segMagic))
-	for int(off)+frameHeaderSize <= len(data) {
-		plen := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if plen <= 0 || plen > maxRecordBytes || off+frameHeaderSize+plen > int64(len(data)) {
-			s.stats.Corrupt++ // torn tail or corrupt length
-			return
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+plen]
-		if crc32.Checksum(payload, crcTable) != want {
+	for off := len(segMagic); off < len(data); {
+		// A frame that does not validate yields no payload, which does
+		// not decode either.
+		payload, next, _ := record.Next(data, off)
+		key, tenant, sec, err := decodeRecord(payload)
+		if err != nil {
 			s.stats.Corrupt++
 			return
 		}
-		var rec segRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil || rec.Sec == nil {
-			s.stats.Corrupt++
-			return
-		}
-		fn(rec.Key, rec.Tenant, rec.Sec, off, frameHeaderSize+plen)
-		off += frameHeaderSize + plen
+		fn(key, tenant, sec, int64(off), int64(next-off))
+		off = next
 	}
 }
 
@@ -775,17 +703,14 @@ func (s *Store) refreshLocked() error {
 				live++
 			}
 		})
-		if live == 0 {
-			// Nothing entered the index: the segment is empty, corrupt
-			// from the start, or holds only duplicates of entries another
-			// segment already serves. Forget it but leave the file —
-			// other processes' indexes may still point into it.
-			delete(s.segs, name)
-		} else {
-			si := s.segs[name]
-			si.live = live
-			s.segs[name] = si
-		}
+		// A segment nothing entered the index from (empty, corrupt from
+		// the start, of another format version, or only duplicates of
+		// entries another segment serves) stays registered with no live
+		// records, so later refreshes do not read it again. Its file is
+		// left alone: other processes' indexes may still point into it.
+		si := s.segs[name]
+		si.live = live
+		s.segs[name] = si
 	}
 	return nil
 }
@@ -799,24 +724,10 @@ func (s *Store) loadCheckpointLocked() {
 	if err != nil {
 		return
 	}
-	if len(data) < len(indexMagic)+frameHeaderSize || !bytes.Equal(data[:len(indexMagic)], indexMagic[:]) {
-		s.stats.Corrupt++
-		return
-	}
-	body := data[len(indexMagic):]
-	plen := int64(binary.LittleEndian.Uint32(body[0:4]))
-	want := binary.LittleEndian.Uint32(body[4:8])
-	if plen <= 0 || plen > maxRecordBytes || int64(len(body)) < frameHeaderSize+plen {
-		s.stats.Corrupt++
-		return
-	}
-	payload := body[frameHeaderSize : frameHeaderSize+plen]
-	if crc32.Checksum(payload, crcTable) != want {
-		s.stats.Corrupt++
-		return
-	}
 	var cp checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cp); err != nil {
+	payload, next, ok := record.Next(data, len(indexMagic))
+	if !bytes.HasPrefix(data, indexMagic[:]) || !ok || next != len(data) ||
+		gob.NewDecoder(bytes.NewReader(payload)).Decode(&cp) != nil {
 		s.stats.Corrupt++
 		return
 	}
@@ -861,35 +772,8 @@ func (s *Store) writeCheckpointLocked() {
 	if err := gob.NewEncoder(&payload).Encode(cp); err != nil {
 		return
 	}
-	var buf bytes.Buffer
-	buf.Write(indexMagic[:])
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload.Bytes(), crcTable))
-	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
-
-	f, err := s.fs.CreateTemp(s.opts.Dir, ".index-*.tmp")
-	if err != nil {
-		return
-	}
-	tmp := f.Name()
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return
-	}
-	if err := s.fs.Rename(tmp, s.checkpointPath()); err != nil {
-		s.fs.Remove(tmp)
+	if data, err := record.Append(append([]byte(nil), indexMagic[:]...), payload.Bytes()); err == nil {
+		_ = errfs.ReplaceFile(s.fs, s.checkpointPath(), data)
 	}
 }
 

@@ -48,10 +48,9 @@ func testSection(i int) *store.Section {
 	}
 }
 
-// equalSections compares two sections structurally, treating nil and
-// empty maps/slices as equal (gob erases that distinction) and comparing
-// floats bitwise so ±Inf, NaN payloads, and signed zeros must survive the
-// round trip exactly.
+// equalSections compares two sections structurally. Floats compare
+// bitwise, so ±Inf, NaN payloads and signed zeros must survive a round
+// trip exactly, and a nil Final (no co-run) is not an empty one.
 func equalSections(a, b *store.Section) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -59,7 +58,7 @@ func equalSections(a, b *store.Section) bool {
 	if a == nil {
 		return true
 	}
-	if a.SimInstrs != b.SimInstrs {
+	if a.SimInstrs != b.SimInstrs || (a.Final == nil) != (b.Final == nil) {
 		return false
 	}
 	eqOut := func(x, y map[sites.ClassKey]store.Outcome) bool {
@@ -155,11 +154,12 @@ func TestPutFlushReopen(t *testing.T) {
 	}
 }
 
-// TestGobRoundTripProperty drives randomized sections — ±Inf and NaN
-// magnitudes, signed zeros, empty-but-non-nil Final maps, ragged Amp
-// matrices — through Put/Flush and back in through a fresh handle, and
-// requires the decoded section to match the original bit for bit.
-func TestGobRoundTripProperty(t *testing.T) {
+// TestCodecRoundTripProperty drives randomized sections — ±Inf and NaN
+// magnitudes, signed zeros, nil, empty and populated Final maps,
+// rectangular Amp matrices of any shape — through Put/Flush and back in
+// through a fresh handle, and requires the decoded section to match the
+// original bit for bit.
+func TestCodecRoundTripProperty(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, Options{Dir: dir})
 	defer w.Close()
@@ -239,16 +239,17 @@ func randSection(rng *rand.Rand) *store.Section {
 		SimInstrs: rng.Uint64(),
 	}
 	switch rng.Intn(3) {
-	case 0: // nil Final
-	case 1: // empty but non-nil: must read back equal (gob erases non-nil-ness)
+	case 0: // nil Final: no co-run
+	case 1: // empty but non-nil: a co-run with no classes
 		sec.Final = map[sites.ClassKey]store.Outcome{}
 	case 2:
 		sec.Final = randOutcomes(0)
 	}
-	for i := rng.Intn(4); i > 0; i-- {
-		var row []float64
-		for j := rng.Intn(4); j > 0; j-- {
-			row = append(row, randFloat())
+	rows, cols := rng.Intn(4), rng.Intn(4)
+	for i := 0; i < rows; i++ {
+		row := make([]float64, cols)
+		for j := range row {
+			row[j] = randFloat()
 		}
 		sec.Amp = append(sec.Amp, row)
 	}

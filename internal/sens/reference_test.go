@@ -38,10 +38,11 @@ func analyzeReference(t *trace.Trace, inst *trace.Instance, cfg Config) (*Amplif
 	limit := inst.BegDyn + 1 + 16*inst.Len() + 64
 
 	for ii, in := range inst.IO.Inputs {
-		if in.Kind != spec.Float {
+		if in.Kind != spec.Float || in.Len == 0 {
 			// Integer inputs of non-discrete sections (e.g. control
 			// parameters) are not perturbed; errors in them are covered by
-			// the conservative side-effect handling.
+			// the conservative side-effect handling. An empty buffer has
+			// nothing to perturb.
 			continue
 		}
 		for s := 0; s < cfg.Samples; s++ {

@@ -112,10 +112,12 @@ func Analyze(t *trace.Trace, inst *trace.Instance, cfg Config) (*Amplification, 
 	defer putSampler(s)
 	s.start(inst, streamSeed(cfg.Seed, inst))
 	for ii, in := range inst.IO.Inputs {
-		if in.Kind != spec.Float {
+		if in.Kind != spec.Float || in.Len == 0 {
 			// Integer inputs of non-discrete sections (e.g. control
 			// parameters) are not perturbed; errors in them are covered by
-			// the conservative side-effect handling.
+			// the conservative side-effect handling. An empty buffer has
+			// nothing to perturb: it draws nothing, so later inputs keep
+			// their RNG streams, and its K column stays 0.
 			continue
 		}
 		for drawn := 0; drawn < cfg.Samples; {

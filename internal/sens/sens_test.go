@@ -108,6 +108,41 @@ func TestIntegerInputsNotPerturbed(t *testing.T) {
 	}
 }
 
+// TestEmptyFloatInputDrawsNothing declares a zero-length float input (which
+// spec.Validate accepts) in front of the square section's c input. The
+// empty input must draw no samples and keep its K column 0, and c must
+// see the same RNG stream, hence the same K, as without it; the batched
+// estimator and the reference must agree exactly.
+func TestEmptyFloatInputDrawsNothing(t *testing.T) {
+	p := testprog.Pipeline()
+	in := &p.Sections[1].Instances[0].Inputs
+	empty := spec.Buffer{Name: "e", Addr: testprog.AddrC, Len: 0, Kind: spec.Float}
+	*in = []spec.Buffer{(*in)[0], empty, (*in)[1]}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Record(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	amp, stats := Analyze(tr, tr.Instances[1], cfg)
+	ref, refStats := analyzeReference(tr, tr.Instances[1], cfg)
+	if stats != refStats {
+		t.Errorf("stats %+v, reference %+v", stats, refStats)
+	}
+	for ii := range amp.K[0] {
+		if math.Float64bits(amp.K[0][ii]) != math.Float64bits(ref.K[0][ii]) {
+			t.Errorf("K[0][%d] = %v, reference %v", ii, amp.K[0][ii], ref.K[0][ii])
+		}
+	}
+	plainTr := recorded(t)
+	plain, _ := Analyze(plainTr, plainTr.Instances[1], cfg)
+	if amp.K[0][1] != 0 || amp.K[0][0] != plain.K[0][0] || amp.K[0][2] != plain.K[0][1] {
+		t.Errorf("K = %v, want [%v 0 %v]", amp.K[0], plain.K[0][0], plain.K[0][1])
+	}
+}
+
 func TestDeterministicAcrossRuns(t *testing.T) {
 	tr := recorded(t)
 	a1, _ := Analyze(tr, tr.Instances[1], DefaultConfig())

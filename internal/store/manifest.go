@@ -1,18 +1,21 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"fastflip/internal/errfs"
+	"fastflip/internal/record"
 )
 
 // ManifestVersion is the on-disk manifest format version. A manifest with
 // a different version is rejected by LoadManifest so a resume never trusts
-// state written by an incompatible binary.
-const ManifestVersion = 1
+// state written by an incompatible binary. Version 2 frames the gob
+// payload in a record frame.
+const ManifestVersion = 2
 
 // SectionStatus is the campaign progress of one section instance.
 type SectionStatus struct {
@@ -64,28 +67,42 @@ func (m *Manifest) Matches(traceFP, configFP uint64) bool {
 	return m != nil && m.Version == ManifestVersion && m.TraceFP == traceFP && m.ConfigFP == configFP
 }
 
-// Save atomically writes the manifest to path (temp file in the target
-// directory, sync, rename) — the same crash discipline as Store.Save.
+// Save atomically writes the manifest to path: one record frame
+// (internal/record) around its gob encoding, replaced through
+// errfs.ReplaceFile like the store file.
 func (m *Manifest) Save(path string) error {
-	return atomicWriteGob(nil, path, m)
+	return m.SaveFS(nil, path)
 }
 
 // SaveFS is Save through an explicit filesystem seam (nil = the real
 // filesystem); chaos tests inject write faults through it.
 func (m *Manifest) SaveFS(fsys errfs.FS, path string) error {
-	return atomicWriteGob(fsys, path, m)
+	var payload bytes.Buffer
+	err := gob.NewEncoder(&payload).Encode(m)
+	data, ferr := record.Append(nil, payload.Bytes())
+	if err = cmp.Or(err, ferr); err == nil {
+		err = errfs.ReplaceFile(fsys, path, data)
+	}
+	if err != nil {
+		return fmt.Errorf("store: saving manifest %s: %w", path, err)
+	}
+	return nil
 }
 
-// LoadManifest reads a manifest written by Save. An unknown version is an
-// error: resume code treats it as "no usable manifest".
+// LoadManifest reads a manifest written by Save. A file that is not one
+// valid frame, or an unknown version, is an error: resume code treats it
+// as "no usable manifest".
 func LoadManifest(path string) (*Manifest, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
+	payload, next, ok := record.Next(data, 0)
+	if !ok || next != len(data) {
+		return nil, fmt.Errorf("store: manifest %s is not a single valid record frame", path)
+	}
 	m := &Manifest{}
-	if err := gob.NewDecoder(f).Decode(m); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(m); err != nil {
 		return nil, fmt.Errorf("store: decoding manifest %s: %w", path, err)
 	}
 	if m.Version != ManifestVersion {
@@ -95,38 +112,4 @@ func LoadManifest(path string) (*Manifest, error) {
 		m.Sections = make(map[Key]SectionStatus)
 	}
 	return m, nil
-}
-
-// atomicWriteGob gob-encodes v into a temporary file in path's directory,
-// syncs it, and renames it over path, so a crash mid-write never corrupts
-// an existing file. All I/O goes through fsys (nil = real filesystem) so
-// fault-injection tests can break any step of the protocol.
-func atomicWriteGob(fsys errfs.FS, path string, v any) error {
-	if fsys == nil {
-		fsys = errfs.OS()
-	}
-	f, err := fsys.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := gob.NewEncoder(f).Encode(v); err != nil {
-		return fail(fmt.Errorf("store: encoding %s: %w", path, err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("store: syncing %s: %w", tmp, err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("store: %w", err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
 }

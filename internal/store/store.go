@@ -10,12 +10,13 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"math"
 	"os"
 
 	"fastflip/internal/errfs"
 	"fastflip/internal/metrics"
+	"fastflip/internal/record"
 	"fastflip/internal/sites"
 	"fastflip/internal/spec"
 	"fastflip/internal/trace"
@@ -165,9 +166,9 @@ type Store struct {
 	// target adjustment (the paper's m_adj).
 	ModsSinceAdjust int
 
-	// tier, when set, backs Sections with the shared outcome store.
-	// Unexported on purpose: gob never serializes it, so a saved store
-	// file is identical with or without a tier attached.
+	// tier, when set, backs Sections with the shared outcome store. Save
+	// never writes it, so a saved store file is identical with or without
+	// a tier attached.
 	tier Tier
 }
 
@@ -236,31 +237,153 @@ func (s *Store) Put(key Key, sec *Section) {
 	}
 }
 
-// Save writes the store to path with encoding/gob (gob round-trips the
-// ±Inf magnitudes JSON cannot represent). The write is atomic: the store
-// is encoded into a temporary file in the destination directory, synced,
-// and renamed over path, so a crash or cancellation mid-save never
-// truncates an existing store.
+// A Section's binary encoding, built on internal/record's field encoders:
+//
+//	u32 n, n × (class key, outcome)     Outcomes
+//	u8 0                                Final absent (nil), or
+//	u8 1, u32 n, n × (key, outcome)     Final present, possibly empty
+//	u32 rows, u32 cols, cells           Amp, rectangular
+//	u64                                 SimInstrs
+//
+// The same bytes are an ostore record's body and a store file's section
+// record, so the two share one decoder and one fuzz target.
+
+// minOutcomeEntry is the smallest encoded (class key, outcome) pair: a
+// key with an empty function name and an outcome without magnitudes.
+const minOutcomeEntry = 10 + 6
+
+// AppendSection appends sec's encoding to dst. A ragged Amp is an error.
+func AppendSection(dst []byte, sec *Section) ([]byte, error) {
+	dst = appendOutcomes(dst, sec.Outcomes)
+	if sec.Final == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = appendOutcomes(append(dst, 1), sec.Final)
+	}
+	dst, err := record.AppendMatrix(dst, sec.Amp)
+	if err != nil {
+		return dst, fmt.Errorf("store: section amp: %w", err)
+	}
+	return binary.LittleEndian.AppendUint64(dst, sec.SimInstrs), nil
+}
+
+func appendOutcomes(dst []byte, m map[sites.ClassKey]Outcome) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m)))
+	for k, o := range m {
+		dst = record.AppendOutcome(record.AppendClassKey(dst, k), metrics.Outcome(o))
+	}
+	return dst
+}
+
+// ReadSection decodes one section from d. A failure latches in d; the
+// caller checks d.Finish.
+func ReadSection(d *record.Decoder) *Section {
+	sec := &Section{Outcomes: readOutcomes(d)}
+	if d.Bool() {
+		sec.Final = readOutcomes(d)
+	}
+	sec.Amp = d.Matrix()
+	sec.SimInstrs = d.U64()
+	return sec
+}
+
+func readOutcomes(d *record.Decoder) map[sites.ClassKey]Outcome {
+	n := d.Count(minOutcomeEntry)
+	m := make(map[sites.ClassKey]Outcome, n)
+	for i := 0; i < n; i++ {
+		k := d.ClassKey()
+		m[k] = Outcome(d.Outcome())
+	}
+	return m
+}
+
+// DecodeSection decodes a payload holding exactly one encoded section.
+func DecodeSection(b []byte) (*Section, error) {
+	d := record.NewDecoder(b)
+	sec := ReadSection(d)
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return sec, nil
+}
+
+// storeMagic identifies a store file and its format version. Store files
+// written before the binary format (gob) do not carry it and are refused
+// by Load.
+var storeMagic = [8]byte{'F', 'F', 'S', 'T', 'R', 0, 0, 1}
+
+// Save writes the store to path: storeMagic, then one record frame
+// (internal/record) holding the adjusted targets and m_adj, then one
+// frame per section holding its key and encoding. Floats are stored as
+// raw bits, so the ±Inf magnitudes JSON cannot represent round-trip
+// exactly. The write is atomic (errfs.ReplaceFile), so a crash or
+// cancellation mid-save never truncates an existing store.
 func (s *Store) Save(path string) error {
-	return atomicWriteGob(nil, path, s)
+	return s.SaveFS(nil, path)
 }
 
 // SaveFS is Save through an explicit filesystem seam (nil = the real
 // filesystem); chaos tests inject write faults through it.
 func (s *Store) SaveFS(fsys errfs.FS, path string) error {
-	return atomicWriteGob(fsys, path, s)
+	meta := binary.LittleEndian.AppendUint64(nil, uint64(s.ModsSinceAdjust))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(s.AdjustedTargets)))
+	for k, v := range s.AdjustedTargets {
+		for _, f := range []float64{k.Epsilon, k.Target, v} {
+			meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(f))
+		}
+	}
+	data, err := record.Append(append([]byte(nil), storeMagic[:]...), meta)
+	var payload []byte
+	for k, sec := range s.Sections {
+		if err != nil {
+			break
+		}
+		if payload, err = AppendSection(append(payload[:0], k[:]...), sec); err == nil {
+			data, err = record.Append(data, payload)
+		}
+	}
+	if err == nil {
+		err = errfs.ReplaceFile(fsys, path, data)
+	}
+	if err != nil {
+		return fmt.Errorf("store: saving %s: %w", path, err)
+	}
+	return nil
 }
 
-// Load reads a store written by Save.
+// Load reads a store written by Save. A file without storeMagic, or with
+// a record that does not frame or decode, is an error.
 func Load(path string) (*Store, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
+	if len(data) < len(storeMagic) || string(data[:len(storeMagic)]) != string(storeMagic[:]) {
+		return nil, fmt.Errorf("store: %s is not a store file of format %q v%d (gob store files from older releases are not read)", path, storeMagic[:5], storeMagic[7])
+	}
 	s := New()
-	if err := gob.NewDecoder(f).Decode(s); err != nil {
-		return nil, fmt.Errorf("store: decoding %s: %w", path, err)
+	off := len(storeMagic)
+	for i := 0; off < len(data); i++ {
+		payload, next, ok := record.Next(data, off)
+		if !ok {
+			return nil, fmt.Errorf("store: %s: corrupt record at offset %d", path, off)
+		}
+		d := record.NewDecoder(payload)
+		if i == 0 {
+			s.ModsSinceAdjust = int(d.U64())
+			for n := d.Count(24); n > 0; n-- {
+				k := TargetKey{Epsilon: d.Float(), Target: d.Float()}
+				s.AdjustedTargets[k] = d.Float()
+			}
+		} else {
+			var k Key
+			copy(k[:], d.Bytes(len(k)))
+			s.Sections[k] = ReadSection(d)
+		}
+		if err := d.Finish(); err != nil {
+			return nil, fmt.Errorf("store: %s: record at offset %d: %w", path, off, err)
+		}
+		off = next
 	}
 	return s, nil
 }

@@ -132,7 +132,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	s.AdjustedTargets[TargetKey{Epsilon: 0.01, Target: 0.9}] = 0.925
 	s.ModsSinceAdjust = 2
 
-	path := filepath.Join(t.TempDir(), "store.gob")
+	path := filepath.Join(t.TempDir(), "store.ffs")
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveAtomicOverwrite(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "store.gob")
+	path := filepath.Join(dir, "store.ffs")
 	s1 := New()
 	s1.Put(Key{1}, &Section{SimInstrs: 1})
 	if err := s1.Save(path); err != nil {
@@ -185,14 +185,14 @@ func TestSaveAtomicOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "store.gob" {
+	if len(entries) != 1 || entries[0].Name() != "store.ffs" {
 		t.Errorf("directory not clean after save: %v", entries)
 	}
 }
 
 func TestSaveFailureLeavesExistingStore(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "store.gob")
+	path := filepath.Join(dir, "store.ffs")
 	s := New()
 	s.Put(Key{7}, &Section{SimInstrs: 7})
 	if err := s.Save(path); err != nil {
@@ -200,7 +200,7 @@ func TestSaveFailureLeavesExistingStore(t *testing.T) {
 	}
 	// Saving into a directory that doesn't exist must fail without
 	// touching the original file.
-	if err := s.Save(filepath.Join(dir, "missing", "store.gob")); err == nil {
+	if err := s.Save(filepath.Join(dir, "missing", "store.ffs")); err == nil {
 		t.Fatal("expected error saving into a missing directory")
 	}
 	got, err := Load(path)
@@ -213,7 +213,7 @@ func TestSaveFailureLeavesExistingStore(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "nope.ffs")); err == nil {
 		t.Error("expected error for missing file")
 	}
 }
