@@ -526,7 +526,7 @@ func (c *Coordinator) injectSection(ctx context.Context, benchName, variant stri
 	classes := job.Classes
 	inst := job.Trace.Instances[job.Instance]
 	res := core.SectionResult{Outcomes: make([]metrics.Outcome, len(classes))}
-	if job.CoRun {
+	if job.Config.CoRunBaseline {
 		res.Fins = make([]metrics.Outcome, len(classes))
 	}
 	mg := newMerger(classes, job.Hooks.Skip)
@@ -569,29 +569,23 @@ func (c *Coordinator) injectSection(ctx context.Context, benchName, variant stri
 	// holds everything already merged, so only the true remainder runs.
 	if !mg.done() && ctx.Err() == nil {
 		skip := mg.skipVector()
-		hooks := job.Hooks
-		hooks.Skip = skip
-		hooks.Range = nil
-		inj := &inject.Injector{T: job.Trace, Workers: job.Config.Workers, NoBatch: job.Config.NoBatch}
-		var outs, fins []metrics.Outcome
-		var stats inject.Stats
-		if job.CoRun {
-			outs, fins, stats = inj.RunSectionCoRunResume(ctx, inst, classes, hooks)
-		} else {
-			outs, stats = inj.RunSectionResume(ctx, inst, classes, hooks)
-		}
-		for i := range classes {
-			if !(i < len(skip) && skip[i]) {
-				res.Outcomes[i] = outs[i]
+		local := job
+		local.Hooks.Skip = skip
+		local.Hooks.Range = nil
+		lr, _ := core.LocalInjector{}.InjectSection(ctx, local) // never fails
+		for i, done := range skip {
+			if !done {
+				res.Outcomes[i] = lr.Outcomes[i]
 				if res.Fins != nil {
-					res.Fins[i] = fins[i]
+					res.Fins[i] = lr.Fins[i]
 				}
 			}
 		}
-		res.Stats.Add(stats)
-		res.Poisoned = append(res.Poisoned, inj.Poisoned()...)
+		res.Stats.Add(lr.Stats)
+		res.Poisoned = append(res.Poisoned, lr.Poisoned...)
+		res.PanicRetries += lr.PanicRetries
 		c.mu.Lock()
-		c.met.LocalFallbackExperiments += uint64(stats.Experiments)
+		c.met.LocalFallbackExperiments += uint64(lr.Stats.Experiments)
 		c.mu.Unlock()
 	}
 	return res, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sync"
@@ -13,11 +14,9 @@ import (
 	"fastflip/internal/bench"
 	"fastflip/internal/core"
 	"fastflip/internal/inject"
-	"fastflip/internal/maskelide"
 	"fastflip/internal/metrics"
 	"fastflip/internal/sites"
 	"fastflip/internal/spec"
-	"fastflip/internal/store"
 	"fastflip/internal/trace"
 )
 
@@ -49,21 +48,31 @@ type WorkerOptions struct {
 // -worker mode and in-test workers are this handler behind a listener.
 //
 // A worker holds no campaign state between shards beyond a trace cache:
-// every lease names its benchmark, instance, and range, and the worker's
-// determinism guarantee — same benchmark build, same recorded trace, same
-// class enumeration — is checked per shard through the section key and
-// campaign fingerprint rather than assumed.
+// every lease names its benchmark, instance, and range, and runs on the
+// same in-process engine a local analysis uses (core.LocalInjector). The
+// worker's determinism guarantee — same benchmark build, same recorded
+// trace, same class enumeration — is checked per shard through the
+// section key and campaign fingerprint rather than assumed.
 type Worker struct {
 	opts WorkerOptions
 	mux  *http.ServeMux
 
 	mu     sync.Mutex
-	traces map[traceKey]*trace.Trace
+	traces map[traceKey]*leaseTrace
 }
 
+// traceKey names one cached trace: a benchmark version under one lease
+// configuration.
 type traceKey struct {
-	bench, variant     string
-	checkpointInterval int64
+	bench, variant string
+	cfg            ShardConfig
+}
+
+// leaseTrace is a recorded trace with the site options of the
+// configuration it was recorded for, computed once with it.
+type leaseTrace struct {
+	t        *trace.Trace
+	siteOpts sites.Options
 }
 
 // NewWorker returns a worker handler.
@@ -76,7 +85,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 			return bench.Build(name, bench.Variant(variant))
 		}
 	}
-	w := &Worker{opts: opts, mux: http.NewServeMux(), traces: make(map[traceKey]*trace.Trace)}
+	w := &Worker{opts: opts, mux: http.NewServeMux(), traces: make(map[traceKey]*leaseTrace)}
 	w.mux.HandleFunc("POST "+shardPath, w.shard)
 	w.mux.HandleFunc("GET "+healthPath, w.healthz)
 	return w
@@ -95,30 +104,32 @@ func (w *Worker) healthz(rw http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(rw).Encode(map[string]string{"status": "ok", "worker": w.opts.ID})
 }
 
-// traceFor records (or reuses) the trace of one benchmark version. The
-// cache is keyed by checkpoint interval too: different intervals change
-// replay granularity, and a lease must run against exactly the trace
-// shape its fingerprint was computed over.
-func (w *Worker) traceFor(benchName, variant string, interval int64) (*trace.Trace, error) {
-	key := traceKey{benchName, variant, interval}
+// traceFor records (or reuses) the trace of one benchmark version under
+// the lease configuration cfg, with its site options. The cache is keyed
+// by the whole configuration: the checkpoint interval shapes the trace and
+// the site knobs shape the class enumeration, and a lease must run
+// against exactly what its fingerprint was computed over.
+func (w *Worker) traceFor(benchName, variant string, cfg ShardConfig) (*leaseTrace, error) {
+	key := traceKey{benchName, variant, cfg}
 	w.mu.Lock()
-	t := w.traces[key]
+	lt := w.traces[key]
 	w.mu.Unlock()
-	if t != nil {
-		return t, nil
+	if lt != nil {
+		return lt, nil
 	}
 	p, err := w.opts.Build(benchName, variant)
 	if err != nil {
 		return nil, err
 	}
-	t, err = trace.RecordWith(p, trace.Options{CheckpointInterval: interval})
+	t, err := trace.RecordWith(p, trace.Options{CheckpointInterval: cfg.CheckpointInterval})
 	if err != nil {
 		return nil, err
 	}
+	lt = &leaseTrace{t: t, siteOpts: core.SiteOptions(t, cfg.analysisConfig(0))}
 	w.mu.Lock()
-	w.traces[key] = t
+	w.traces[key] = lt
 	w.mu.Unlock()
-	return t, nil
+	return lt, nil
 }
 
 // maxShardBody bounds a lease request; the Done list dominates and stays
@@ -126,11 +137,11 @@ func (w *Worker) traceFor(benchName, variant string, interval int64) (*trace.Tra
 const maxShardBody = 8 << 20
 
 // shard runs one leased range and streams the results back. Validation
-// failures answer with JSON errors (400 malformed/unbuildable, 409 stale
-// or wrong-config); past the header the response is a framed record
-// stream terminated by a seal, and any failure mid-stream simply ends the
-// stream unsealed — the coordinator treats it as partial, exactly like a
-// torn WAL tail.
+// failures answer with JSON errors (400 malformed, unbuildable or out of
+// range, 409 stale or wrong-config); past the header the response is a
+// framed record stream terminated by a seal, and any failure mid-stream
+// simply ends the stream unsealed — the coordinator treats it as partial,
+// exactly like a torn WAL tail.
 func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 	if w.opts.Token != "" {
 		got := r.Header.Get("Authorization")
@@ -141,15 +152,21 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req ShardRequest
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardBody))
+	if err := dec.Decode(&req); err != nil {
 		httpError(rw, http.StatusBadRequest, fmt.Errorf("decoding shard request: %w", err))
 		return
 	}
-	t, err := w.traceFor(req.Bench, req.Variant, req.Config.CheckpointInterval)
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(rw, http.StatusBadRequest, fmt.Errorf("trailing data after shard request"))
+		return
+	}
+	lt, err := w.traceFor(req.Bench, req.Variant, req.Config)
 	if err != nil {
 		httpError(rw, http.StatusBadRequest, err)
 		return
 	}
+	t := lt.t
 	if req.Instance < 0 || req.Instance >= len(t.Instances) {
 		httpError(rw, http.StatusBadRequest, fmt.Errorf("instance %d out of range (%d instances)", req.Instance, len(t.Instances)))
 		return
@@ -161,15 +178,9 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusConflict, fmt.Errorf("campaign fingerprint mismatch: lease has %016x, worker computes %016x (stale or wrong-config shard)", req.Fingerprint, fp))
 		return
 	}
-	var key store.Key
-	var keyErr error
-	if cfg.StrictReuseKeys {
-		key, keyErr = store.KeyForStrict(t, inst)
-	} else {
-		key, keyErr = store.KeyFor(t, inst)
-	}
-	if keyErr != nil {
-		httpError(rw, http.StatusBadRequest, fmt.Errorf("computing section key: %w", keyErr))
+	key, err := core.SectionKey(t, inst, cfg)
+	if err != nil {
+		httpError(rw, http.StatusBadRequest, fmt.Errorf("computing section key: %w", err))
 		return
 	}
 	if got := hex.EncodeToString(key[:]); got != req.SectionKey {
@@ -177,20 +188,22 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The site options must reproduce the coordinator's class enumeration
+	// The site options reproduce the coordinator's class enumeration
 	// exactly, elision flags included: an elided class streams back with
 	// elision cost accounting, and a mismatch there would make the merged
 	// summary differ from a local run.
-	siteOpts := sites.Options{Prune: cfg.Prune, Width: cfg.BurstWidth}
-	if cfg.Elide {
-		siteOpts.Masks = maskelide.Analyze(t.Prog.Linked)
+	classes := sites.ForInstance(t, inst, lt.siteOpts)
+	if req.Lo < 0 || req.Hi < req.Lo || req.Hi > len(classes) {
+		httpError(rw, http.StatusBadRequest, fmt.Errorf("range [%d, %d) out of bounds (%d classes)", req.Lo, req.Hi, len(classes)))
+		return
 	}
-	classes := sites.ForInstance(t, inst, siteOpts)
 	skip := make([]bool, len(classes))
 	for _, ci := range req.Done {
-		if ci >= 0 && ci < len(skip) {
-			skip[ci] = true
+		if ci < 0 || ci >= len(skip) {
+			httpError(rw, http.StatusBadRequest, fmt.Errorf("done class %d out of range (%d classes)", ci, len(classes)))
+			return
 		}
+		skip[ci] = true
 	}
 
 	rw.Header().Set("Content-Type", "application/octet-stream")
@@ -236,13 +249,10 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 			}
 		},
 	}
-
-	inj := &inject.Injector{T: t, Workers: cfg.Workers, NoBatch: cfg.NoBatch}
-	if cfg.CoRunBaseline {
-		_, _, _ = inj.RunSectionCoRunResume(ctx, inst, classes, hooks)
-	} else {
-		_, _ = inj.RunSectionResume(ctx, inst, classes, hooks)
-	}
+	// The hooks stream every result; LocalInjector never fails.
+	_, _ = core.LocalInjector{}.InjectSection(ctx, core.SectionJob{
+		Trace: t, Instance: req.Instance, Key: key, Classes: classes, Hooks: hooks, Config: cfg,
+	})
 
 	streamMu.Lock()
 	defer streamMu.Unlock()

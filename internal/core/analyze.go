@@ -21,7 +21,6 @@ import (
 	"fastflip/internal/chisel"
 	"fastflip/internal/errfs"
 	"fastflip/internal/inject"
-	"fastflip/internal/maskelide"
 	"fastflip/internal/metrics"
 	"fastflip/internal/prog"
 	"fastflip/internal/sens"
@@ -121,11 +120,11 @@ type Config struct {
 	// panics and exercise the supervision path. Production leaves it nil.
 	// Excluded from the campaign fingerprint.
 	ExperimentPanicHook func(class, attempt int)
-	// SectionInjector, when non-nil, delegates every section campaign to a
-	// distributed coordinator instead of the in-process engine. Excluded
-	// from the campaign fingerprint: sharding changes where experiments
-	// run, never their outcomes, so local and distributed campaigns share
-	// WAL segments and resume into each other.
+	// SectionInjector, when non-nil, runs every section campaign in place
+	// of LocalInjector: a distributed coordinator, or the oracles'
+	// reference engine. Excluded from the campaign fingerprint: sharding
+	// changes where experiments run, never their outcomes, so local and
+	// distributed campaigns share WAL segments and resume into each other.
 	SectionInjector SectionInjector
 }
 
@@ -162,6 +161,9 @@ type Result struct {
 
 	// SiteCount is |J|, the number of error sites in the ROI.
 	SiteCount int
+	// siteOpts enumerates the trace's error sites; the baseline campaign
+	// reuses it.
+	siteOpts sites.Options
 	// Spec is the composed end-to-end SDC propagation specification.
 	Spec *chisel.Spec
 	// Amps holds the per-instance sensitivity matrices (indexed like
@@ -284,18 +286,19 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 	if err != nil {
 		return nil, err
 	}
-	siteOpts := sites.Options{Prune: a.Cfg.Prune, Width: a.Cfg.BurstWidth}
-	if a.Cfg.Elide {
-		siteOpts.Masks = maskelide.Analyze(t.Prog.Linked)
-	}
+	siteOpts := SiteOptions(t, a.Cfg)
 	r := &Result{
 		Cfg:         a.Cfg,
 		Prog:        p,
 		Trace:       t,
 		SiteCount:   sites.Count(t, siteOpts),
+		siteOpts:    siteOpts,
 		untestedBad: make(map[prog.StaticID]int),
 	}
-	inj := &inject.Injector{T: t, Workers: a.Cfg.Workers, NoBatch: a.Cfg.NoBatch, PanicHook: a.Cfg.ExperimentPanicHook}
+	var injector SectionInjector = LocalInjector{}
+	if a.Cfg.SectionInjector != nil {
+		injector = a.Cfg.SectionInjector
+	}
 
 	var cam *campaign
 	if a.Cfg.WALDir != "" {
@@ -308,12 +311,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 			cam.closeCampaign()
 		}()
 	}
-	var remotePoisoned []inject.Poison
-	defer func() {
-		r.Poisoned = append(inj.Poisoned(), remotePoisoned...)
-		r.PanicRetries = inj.PanicRetries()
-	}()
-
 	report := func() {
 		if a.Progress != nil {
 			a.Progress(Progress{
@@ -331,7 +328,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 				Batches:            r.FFInject.Batches,
 				BatchExperiments:   r.FFInject.BatchExperiments,
 				WALDegraded:        cam.wasDegraded(),
-				Poisoned:           len(inj.Poisoned()),
+				Poisoned:           len(r.Poisoned),
 			})
 		}
 	}
@@ -353,13 +350,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 			return nil, err
 		}
 		classes := sites.ForInstance(t, inst, siteOpts)
-		var key store.Key
-		var keyErr error
-		if a.Cfg.StrictReuseKeys {
-			key, keyErr = store.KeyForStrict(t, inst)
-		} else {
-			key, keyErr = store.KeyFor(t, inst)
-		}
+		key, keyErr := SectionKey(t, inst, a.Cfg)
 		if keyErr != nil {
 			// A buffer declaration outside the machine's memory: the spec
 			// is malformed, and an unkeyable section can neither reuse nor
@@ -380,8 +371,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 			report()
 			continue
 		}
-
-		poisonedBefore := len(inj.Poisoned()) + len(remotePoisoned)
 
 		// Open this section's write-ahead segment. Experiments recovered
 		// from it are marked in skip and merged instead of re-executed;
@@ -429,36 +418,28 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 			pendingSens = startSens(t, inst, a.Cfg.Sens)
 		}
 
-		var outcomes, fins []metrics.Outcome
-		var stats inject.Stats
-		if a.Cfg.SectionInjector != nil {
-			res, derr := a.Cfg.SectionInjector.InjectSection(ctx, SectionJob{
-				Trace:    t,
-				Instance: idx,
-				Key:      key,
-				Classes:  classes,
-				Hooks:    hooks,
-				CoRun:    a.Cfg.CoRunBaseline,
-				Config:   a.Cfg,
-			})
-			if derr != nil {
-				if wal != nil {
-					cam.markPartial(key, wal.Count())
-					wal.Close()
-				}
-				return nil, derr
+		res, err := injector.InjectSection(ctx, SectionJob{
+			Trace:    t,
+			Instance: idx,
+			Key:      key,
+			Classes:  classes,
+			Hooks:    hooks,
+			Config:   a.Cfg,
+		})
+		if err != nil {
+			if wal != nil {
+				cam.markPartial(key, wal.Count())
+				wal.Close()
 			}
-			outcomes, fins, stats = res.Outcomes, res.Fins, res.Stats
-			r.RemoteExperiments += res.Remote
-			r.ShardsMerged += res.Shards
-			r.HedgedDispatches += res.HedgedDispatches
-			r.Releases += res.Releases
-			remotePoisoned = append(remotePoisoned, res.Poisoned...)
-		} else if a.Cfg.CoRunBaseline {
-			outcomes, fins, stats = inj.RunSectionCoRunResume(ctx, inst, classes, hooks)
-		} else {
-			outcomes, stats = inj.RunSectionResume(ctx, inst, classes, hooks)
+			return nil, err
 		}
+		outcomes, fins, stats := res.Outcomes, res.Fins, res.Stats
+		r.RemoteExperiments += res.Remote
+		r.ShardsMerged += res.Shards
+		r.HedgedDispatches += res.HedgedDispatches
+		r.Releases += res.Releases
+		r.Poisoned = append(r.Poisoned, res.Poisoned...)
+		r.PanicRetries += res.PanicRetries
 		r.FFInject.Add(stats)
 		if err := ctx.Err(); err != nil {
 			// The campaign was cut short: the outcome slices are partial
@@ -533,7 +514,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 		// A section with quarantined experiments holds conservative fills,
 		// not results: storing it under its content key would hand the
 		// fills to every later lookup as if they were outcomes.
-		if a.Store != nil && len(inj.Poisoned())+len(remotePoisoned) == poisonedBefore {
+		if a.Store != nil && len(res.Poisoned) == 0 {
 			secStats := recStats
 			secStats.Add(stats)
 			stored := &store.Section{
@@ -657,11 +638,7 @@ func (a *Analyzer) RunBaseline(r *Result) {
 func (a *Analyzer) RunBaselineContext(ctx context.Context, r *Result) error {
 	started := time.Now()
 	inj := &inject.Injector{T: r.Trace, Workers: a.Cfg.Workers, NoBatch: a.Cfg.NoBatch}
-	siteOpts := sites.Options{Prune: a.Cfg.Prune, Width: a.Cfg.BurstWidth}
-	if a.Cfg.Elide {
-		siteOpts.Masks = maskelide.Analyze(r.Trace.Prog.Linked)
-	}
-	classes := sites.Global(r.Trace, siteOpts)
+	classes := sites.Global(r.Trace, r.siteOpts)
 	outcomes, stats := inj.RunMonolithic(ctx, classes)
 	if err := ctx.Err(); err != nil {
 		return err

@@ -23,38 +23,13 @@ type BadCounts struct {
 // outcomes propagated through the composed specification (Algorithm 2),
 // plus the conservative s⊥ handling of untested sites.
 func (r *Result) FFBadCounts(eps float64) BadCounts {
-	bc := BadCounts{PerStatic: make(map[prog.StaticID]int)}
-	epsVec := r.epsVec(eps)
-	for _, rec := range r.ffClasses {
-		if rec.out.Kind != metrics.SDC {
-			continue // detected or masked: not an SDC-Bad site
-		}
-		if r.Spec.Bad(rec.inst, rec.out.Magnitudes, epsVec) {
-			bc.PerStatic[rec.class.Key.Static] += rec.class.Size()
-			bc.Total += rec.class.Size()
-		}
-	}
-	for id, n := range r.untestedBad {
-		bc.PerStatic[id] += n
-		bc.Total += n
-	}
-	return bc
+	return r.badCounts(r.ffClasses, r.ffBad(eps), true)
 }
 
 // BaseBadCounts labels every site with the monolithic baseline: the final
 // outputs' observed SDC magnitude against ε. RunBaseline must have run.
 func (r *Result) BaseBadCounts(eps float64) BadCounts {
-	bc := BadCounts{PerStatic: make(map[prog.StaticID]int)}
-	for _, rec := range r.baseClasses {
-		if rec.out.Kind != metrics.SDC {
-			continue
-		}
-		if rec.out.MaxMagnitude() > eps {
-			bc.PerStatic[rec.class.Key.Static] += rec.class.Size()
-			bc.Total += rec.class.Size()
-		}
-	}
-	return bc
+	return r.badCounts(r.baseClasses, func(rec classRecord) bool { return endToEndBad(rec.out, eps) }, false)
 }
 
 // HasCoRun reports whether end-to-end co-run labels are available.
@@ -73,19 +48,41 @@ func (r *Result) HasCoRun() bool {
 // pilots and adds the conservative s⊥ sites (which the co-run, unlike the
 // true monolithic baseline, never injects).
 func (r *Result) CoRunBadCounts(eps float64) BadCounts {
+	return r.badCounts(r.ffClasses, func(rec classRecord) bool { return rec.fin != nil && endToEndBad(*rec.fin, eps) }, true)
+}
+
+// ffBad is FastFlip's labeling rule at ε (Algorithm 2): a class is
+// SDC-Bad when its per-section SDC, propagated through the composed
+// specification, exceeds ε at some final output.
+func (r *Result) ffBad(eps float64) func(classRecord) bool {
+	epsVec := r.epsVec(eps)
+	return func(rec classRecord) bool {
+		return rec.out.Kind == metrics.SDC && r.Spec.Bad(rec.inst, rec.out.Magnitudes, epsVec)
+	}
+}
+
+// endToEndBad is the ground-truth labeling rule at ε, shared by the
+// monolithic baseline and the co-run: an SDC whose largest final-output
+// magnitude exceeds ε.
+func endToEndBad(out metrics.Outcome, eps float64) bool {
+	return out.Kind == metrics.SDC && out.MaxMagnitude() > eps
+}
+
+// badCounts sums the sites of the classes bad labels SDC-Bad per static
+// instruction, plus the untested sites when withUntested.
+func (r *Result) badCounts(recs []classRecord, bad func(classRecord) bool, withUntested bool) BadCounts {
 	bc := BadCounts{PerStatic: make(map[prog.StaticID]int)}
-	for _, rec := range r.ffClasses {
-		if rec.fin == nil || rec.fin.Kind != metrics.SDC {
-			continue
-		}
-		if rec.fin.MaxMagnitude() > eps {
+	for _, rec := range recs {
+		if bad(rec) {
 			bc.PerStatic[rec.class.Key.Static] += rec.class.Size()
 			bc.Total += rec.class.Size()
 		}
 	}
-	for id, n := range r.untestedBad {
-		bc.PerStatic[id] += n
-		bc.Total += n
+	if withUntested {
+		for id, n := range r.untestedBad {
+			bc.PerStatic[id] += n
+			bc.Total += n
+		}
 	}
 	return bc
 }

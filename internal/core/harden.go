@@ -117,19 +117,13 @@ func (a *Analyzer) Harden(ctx context.Context, r *Result, eps, target float64) (
 	// of the effective protected set: a compare after the original catches
 	// every destination flip, while a source flip at the duplicate escapes
 	// exactly as often as the original's (now-detected) source flip did.
-	badDst := make(map[prog.StaticID]int)
-	epsVec := r.epsVec(eps)
-	for _, rec := range r.ffClasses {
-		if rec.class.Key.Role != isa.OperandDst || rec.out.Kind != metrics.SDC {
-			continue
-		}
-		if r.Spec.Bad(rec.inst, rec.out.Magnitudes, epsVec) {
-			badDst[rec.class.Key.Static] += rec.class.Size()
-		}
-	}
+	ffBad := r.ffBad(eps)
+	badDst := r.badCounts(r.ffClasses, func(rec classRecord) bool {
+		return rec.class.Key.Role == isa.OperandDst && ffBad(rec)
+	}, false)
 	predicted := ffBC.Total
 	for id := range eff {
-		predicted -= badDst[id]
+		predicted -= badDst.PerStatic[id]
 	}
 	// Detector code emitted outside every section is never injected and
 	// therefore conservatively SDC-Bad (§4.9 s⊥): add the growth back.

@@ -22,23 +22,7 @@ func (o OutcomeStats) Total() int {
 // FFOutcomeStats classifies every site with FastFlip's pipeline: the
 // per-section outcome propagated through the composed specification.
 func (r *Result) FFOutcomeStats(eps float64) OutcomeStats {
-	var o OutcomeStats
-	epsVec := r.epsVec(eps)
-	for _, rec := range r.ffClasses {
-		n := rec.class.Size()
-		switch rec.out.Kind {
-		case metrics.Masked:
-			o.Masked += n
-		case metrics.Detected:
-			o.Detected += n
-		case metrics.SDC:
-			if r.Spec.Bad(rec.inst, rec.out.Magnitudes, epsVec) {
-				o.SDCBad += n
-			} else {
-				o.SDCGood += n
-			}
-		}
-	}
+	o := outcomeStats(r.ffClasses, r.ffBad(eps))
 	for _, n := range r.untestedBad {
 		o.Untested += n
 	}
@@ -48,20 +32,24 @@ func (r *Result) FFOutcomeStats(eps float64) OutcomeStats {
 // BaseOutcomeStats classifies every site with the monolithic baseline's
 // end-to-end outcomes. RunBaseline must have run.
 func (r *Result) BaseOutcomeStats(eps float64) OutcomeStats {
+	return outcomeStats(r.baseClasses, func(rec classRecord) bool { return endToEndBad(rec.out, eps) })
+}
+
+// outcomeStats tallies the sites of recs by outcome kind, splitting SDCs
+// by the labeling rule bad.
+func outcomeStats(recs []classRecord, bad func(classRecord) bool) OutcomeStats {
 	var o OutcomeStats
-	for _, rec := range r.baseClasses {
+	for _, rec := range recs {
 		n := rec.class.Size()
-		switch rec.out.Kind {
-		case metrics.Masked:
+		switch {
+		case rec.out.Kind == metrics.Masked:
 			o.Masked += n
-		case metrics.Detected:
+		case rec.out.Kind == metrics.Detected:
 			o.Detected += n
-		case metrics.SDC:
-			if rec.out.MaxMagnitude() > eps {
-				o.SDCBad += n
-			} else {
-				o.SDCGood += n
-			}
+		case bad(rec):
+			o.SDCBad += n
+		case rec.out.Kind == metrics.SDC:
+			o.SDCGood += n
 		}
 	}
 	return o

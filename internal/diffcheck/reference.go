@@ -11,9 +11,9 @@ import (
 // Reference is the oracles' reference injection engine: every experiment
 // restores the checkpoint nearest its site on a scalar machine, replays the
 // clean prefix, flips, and runs to the end of the experiment through the
-// per-site inject.Injector.Section/SectionCoRun. It shares no scheduling,
-// cursor, journal, elision or batching code with the production engine,
-// so agreement between the two is evidence about those tiers. It plugs in
+// per-site inject.Injector.Section. It shares no scheduling, cursor,
+// journal, elision or batching code with the production engine, so
+// agreement between the two is evidence about those tiers. It plugs in
 // through core.Config.SectionInjector and runs sections in-process,
 // experiment by experiment; it is far slower than the production engine
 // and exists only for differential checks.
@@ -26,9 +26,10 @@ type Reference struct{}
 // InjectSection implements core.SectionInjector.
 func (Reference) InjectSection(ctx context.Context, job core.SectionJob) (core.SectionResult, error) {
 	inst := job.Trace.Instances[job.Instance]
-	inj := &inject.Injector{T: job.Trace}
+	inj := job.Injector()
+	coRun := job.Config.CoRunBaseline
 	res := core.SectionResult{Outcomes: make([]metrics.Outcome, len(job.Classes))}
-	if job.CoRun {
+	if coRun {
 		res.Fins = make([]metrics.Outcome, len(job.Classes))
 	}
 	m := job.Trace.Start.Clone()
@@ -39,18 +40,15 @@ func (Reference) InjectSection(ctx context.Context, job core.SectionJob) (core.S
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		var fin *metrics.Outcome
-		var cost uint64
-		if job.CoRun {
-			res.Outcomes[i], res.Fins[i], cost = inj.SectionCoRun(m, inst, c.PilotSite())
-			fin = &res.Fins[i]
-		} else {
-			res.Outcomes[i], cost = inj.Section(m, inst, c.PilotSite())
+		out, fin, cost := inj.Section(m, inst, c.PilotSite(), coRun)
+		res.Outcomes[i] = out
+		if fin != nil {
+			res.Fins[i] = *fin
 		}
 		st := inject.Stats{Experiments: 1, SimInstrs: cost}
 		res.Stats.Add(st)
 		if job.Hooks.Record != nil {
-			job.Hooks.Record(i, res.Outcomes[i], fin, st)
+			job.Hooks.Record(i, out, fin, st)
 		}
 	}
 	return res, nil

@@ -2,11 +2,15 @@
 // execution up to a site, flips one register bit, resumes execution, and
 // classifies the outcome.
 //
-// Two experiment shapes exist, mirroring the paper. The *monolithic*
-// experiment (the Approxilyzer-only baseline) resumes until the program
-// terminates and compares the final outputs. The *per-section* experiment
-// (FastFlip) resumes until the injected section instance ends and compares
-// that section's outputs plus its live state.
+// Two experiment shapes exist, mirroring the paper, each with one campaign
+// method. The *monolithic* experiment (the Approxilyzer-only baseline,
+// RunMonolithic) resumes until the program terminates and compares the
+// final outputs. The *per-section* experiment (FastFlip, RunSectionResume)
+// resumes until the injected section instance ends and compares that
+// section's outputs plus its live state. Its co-run form (§4.10) is the
+// same experiment followed by the monolithic finish: the faulty machine
+// continues to termination and the final outputs are classified too, in
+// one simulation.
 //
 // Analysis cost is accounted in simulated instructions, the dominant and
 // parallelizable part of the paper's core-hours (§6.2). Stats.SimInstrs is
@@ -17,10 +21,9 @@
 // worker, and forks each experiment off the cursor with a journal-based
 // delta restore — so a shared clean prefix is simulated once per worker
 // range instead of once per experiment, and restoring a fork undoes only
-// the memory words the faulty run touched. The per-site methods Monolithic,
-// Section and SectionCoRun instead replay each experiment from its nearest
-// checkpoint; the differential oracles build their reference engine on
-// them.
+// the memory words the faulty run touched. The per-site methods Monolithic
+// and Section instead replay each experiment from its nearest checkpoint;
+// the differential oracles build their reference engine on them.
 package inject
 
 import (
@@ -117,7 +120,7 @@ func (inj *Injector) workers() int {
 
 // prepare restores m from the checkpoint nearest the site, replays it to
 // just before dynamic instruction site.Dyn and applies the site's flip: the
-// per-site path of Monolithic, Section and SectionCoRun.
+// per-site path of Monolithic and Section.
 func (inj *Injector) prepare(m *vm.Machine, site sites.Site, maxDyn uint64) error {
 	seed, _ := inj.T.ReplaySeed(site.Dyn)
 	m.RestoreFrom(seed)
@@ -190,9 +193,14 @@ func crashOutcome(m *vm.Machine) metrics.Outcome {
 	return metrics.Outcome{Kind: metrics.Detected, Reason: reason}
 }
 
-// monolithicFinish resumes a prepared machine to termination and classifies
-// the effect on the final outputs.
+// monolithicFinish resumes a prepared machine to termination under the
+// whole-program timeout and classifies the effect on the final outputs. A
+// co-run calls it on a machine sectionFinish has classified: one that
+// already halted, crashed or timed out inside the section stays in that
+// state (RunToEvent returns the terminal event again), so its end-to-end
+// outcome is the section's terminal one.
 func (inj *Injector) monolithicFinish(m *vm.Machine) metrics.Outcome {
+	m.MaxDyn = TimeoutFactor * inj.T.TotalDyn
 	switch ev := m.Run(); ev.Kind {
 	case vm.EvCrash:
 		return crashOutcome(m)
@@ -203,13 +211,21 @@ func (inj *Injector) monolithicFinish(m *vm.Machine) metrics.Outcome {
 }
 
 // Section runs one per-section experiment for a site inside inst and
-// classifies the effect on the instance's outputs and live state.
-func (inj *Injector) Section(m *vm.Machine, inst *trace.Instance, site sites.Site) (metrics.Outcome, uint64) {
+// classifies the effect on the instance's outputs and live state. With
+// coRun set the experiment continues to program termination and fin is the
+// end-to-end outcome of the same simulation (§4.10's simultaneous baseline
+// co-run); otherwise fin is nil. The returned cost is the accounted
+// SimInstrs of the experiment.
+func (inj *Injector) Section(m *vm.Machine, inst *trace.Instance, site sites.Site, coRun bool) (sec metrics.Outcome, fin *metrics.Outcome, cost uint64) {
 	if err := inj.prepare(m, site, sectionLimit(inst)); err != nil {
 		panic(err)
 	}
-	out := inj.sectionFinish(m, newRoles(inst).cursor(nil))
-	return out, m.Dyn - inj.T.NearestCheckpointDyn(site.Dyn)
+	sec = inj.sectionFinish(m, newRoles(inst).cursor(nil))
+	if coRun {
+		f := inj.monolithicFinish(m)
+		fin = &f
+	}
+	return sec, fin, m.Dyn - inj.T.NearestCheckpointDyn(site.Dyn)
 }
 
 // sectionFinish resumes a prepared machine until the injected instance
@@ -224,13 +240,13 @@ func (inj *Injector) sectionFinish(m *vm.Machine, cd *cursorDiff) metrics.Outcom
 				// Control flow escaped into a different section: the
 				// instance never produced its outputs. Conservatively
 				// SDC-Bad (§4.9, side effects).
-				return conservativeSDC(len(inst.IO.Outputs))
+				return ConservativeSDC(len(inst.IO.Outputs))
 			}
 			return cd.verdict(m)
 		case vm.EvHalt:
 			// The program terminated before the section completed:
 			// corrupted control flow skipped the section's remainder.
-			return conservativeSDC(len(inst.IO.Outputs))
+			return ConservativeSDC(len(inst.IO.Outputs))
 		case vm.EvCrash:
 			return crashOutcome(m)
 		case vm.EvTimeout:
@@ -239,109 +255,11 @@ func (inj *Injector) sectionFinish(m *vm.Machine, cd *cursorDiff) metrics.Outcom
 	}
 }
 
-// SectionCoRun runs one per-section experiment and then lets execution
-// continue to program termination, classifying both the section-level
-// outcome and the end-to-end outcome in a single simulation. This is the
-// paper's simultaneous baseline co-run (§4.10): it gives FastFlip
-// ground-truth labels for target adjustment without a separate monolithic
-// campaign, at the cost of longer experiments.
-func (inj *Injector) SectionCoRun(m *vm.Machine, inst *trace.Instance, site sites.Site) (sec, fin metrics.Outcome, cost uint64) {
-	if err := inj.prepare(m, site, sectionLimit(inst)); err != nil {
-		panic(err)
-	}
-	sec, fin = inj.coRunFinish(m, newRoles(inst).cursor(nil))
-	return sec, fin, m.Dyn - inj.T.NearestCheckpointDyn(site.Dyn)
-}
-
-// coRunFinish resumes a prepared machine through the injected instance
-// (cd.inst) and on to program termination, classifying both levels.
-func (inj *Injector) coRunFinish(m *vm.Machine, cd *cursorDiff) (sec, fin metrics.Outcome) {
-	t, inst := inj.T, cd.inst
-	secDone := false
-	for {
-		ev := m.RunToEvent(vm.NoStop)
-		switch ev.Kind {
-		case vm.EvSecEnd:
-			if secDone {
-				continue
-			}
-			if ev.Sec != inst.Sec {
-				sec = conservativeSDC(len(inst.IO.Outputs))
-			} else {
-				sec = cd.verdict(m)
-			}
-			secDone = true
-			// Past the section, the whole-program timeout rule applies.
-			m.MaxDyn = TimeoutFactor * t.TotalDyn
-		case vm.EvHalt:
-			if !secDone {
-				sec = conservativeSDC(len(inst.IO.Outputs))
-			}
-			fin = metrics.Compare(t.Prog.FinalOutputs, t.Final, m)
-			return sec, fin
-		case vm.EvCrash:
-			det := crashOutcome(m)
-			if !secDone {
-				sec = det
-			}
-			return sec, det
-		case vm.EvTimeout:
-			det := metrics.Outcome{Kind: metrics.Detected, Reason: metrics.DetectTimeout}
-			if !secDone {
-				sec = det
-			}
-			return sec, det
-		}
-	}
-}
-
-// RunSectionCoRun injects every class pilot within inst with the co-run
-// experiment shape, returning parallel slices of section-level and
-// end-to-end outcomes. Cancelling ctx stops the campaign between
-// experiments; the returned outcomes are then partial and must be
-// discarded (check ctx.Err after the call).
-func (inj *Injector) RunSectionCoRun(ctx context.Context, inst *trace.Instance, classes []*sites.Class) (secs, fins []metrics.Outcome, stats Stats) {
-	return inj.RunSectionCoRunResume(ctx, inst, classes, CampaignHooks{})
-}
-
-// RunSectionCoRunResume is RunSectionCoRun with resume hooks: classes
-// marked in hooks.Skip are not injected (their outcome slots stay zero for
-// the caller to fill from recovered records) and hooks.Record observes
-// each completed experiment for write-ahead logging.
-func (inj *Injector) RunSectionCoRunResume(ctx context.Context, inst *trace.Instance, classes []*sites.Class, hooks CampaignHooks) (secs, fins []metrics.Outcome, stats Stats) {
-	fins = make([]metrics.Outcome, len(classes))
-	if rec := hooks.Record; rec != nil {
-		// Attach the co-run end-to-end outcome: fins[i] is written by the
-		// same worker in finish before the engine invokes Record.
-		hooks.Record = func(i int, out metrics.Outcome, _ *metrics.Outcome, cost Stats) {
-			rec(i, out, &fins[i], cost)
-		}
-	}
-	secs, stats = inj.runAll(ctx, classes, experiment{
-		limit: func(sites.Site) uint64 { return sectionLimit(inst) },
-		finish: func(m *vm.Machine, i int, cd *cursorDiff) metrics.Outcome {
-			sec, fin := inj.coRunFinish(m, cd)
-			fins[i] = fin
-			return sec
-		},
-		conserv: func(i int) metrics.Outcome {
-			fins[i] = conservativeSDC(len(inj.T.Prog.FinalOutputs))
-			return conservativeSDC(len(inst.IO.Outputs))
-		},
-		masked: func(i int) metrics.Outcome {
-			fins[i] = metrics.Outcome{Kind: metrics.Masked}
-			return metrics.Outcome{Kind: metrics.Masked}
-		},
-		roles:    newRoles(inst),
-		cleanEnd: inj.T.Final.Dyn,
-		hooks:    hooks,
-	})
-	return secs, fins, stats
-}
-
-// conservativeSDC is the +Inf-magnitude outcome used when a section-level
-// side effect prevents bounding the corruption: it is SDC-Bad for any ε.
-func conservativeSDC(outputs int) metrics.Outcome {
+// ConservativeSDC is the +Inf-magnitude SDC outcome over the given number
+// of output buffers, SDC-Bad for any ε: the verdict when a section-level
+// side effect prevents bounding the corruption, and the fill of a
+// quarantined experiment, local or (in a coordinator) remote.
+func ConservativeSDC(outputs int) metrics.Outcome {
 	mags := make([]float64, outputs)
 	for i := range mags {
 		mags[i] = math.Inf(1)
@@ -390,9 +308,9 @@ func liveSpans(inst *trace.Instance) []span {
 // partial and must be discarded (check ctx.Err after the call).
 func (inj *Injector) RunMonolithic(ctx context.Context, classes []*sites.Class) ([]metrics.Outcome, Stats) {
 	return inj.runAll(ctx, classes, experiment{
-		limit:    func(sites.Site) uint64 { return TimeoutFactor * inj.T.TotalDyn },
+		limit:    TimeoutFactor * inj.T.TotalDyn,
 		finish:   func(m *vm.Machine, _ int, _ *cursorDiff) metrics.Outcome { return inj.monolithicFinish(m) },
-		conserv:  func(int) metrics.Outcome { return conservativeSDC(len(inj.T.Prog.FinalOutputs)) },
+		conserv:  func(int) metrics.Outcome { return ConservativeSDC(len(inj.T.Prog.FinalOutputs)) },
 		masked:   func(int) metrics.Outcome { return metrics.Outcome{Kind: metrics.Masked} },
 		cleanEnd: inj.T.Final.Dyn,
 	})
@@ -402,29 +320,62 @@ func (inj *Injector) RunMonolithic(ctx context.Context, classes []*sites.Class) 
 // per-class outcomes plus cost statistics. Cancellation behaves as in
 // RunMonolithic.
 func (inj *Injector) RunSection(ctx context.Context, inst *trace.Instance, classes []*sites.Class) ([]metrics.Outcome, Stats) {
-	return inj.RunSectionResume(ctx, inst, classes, CampaignHooks{})
+	outcomes, _, stats := inj.RunSectionResume(ctx, inst, classes, false, CampaignHooks{})
+	return outcomes, stats
 }
 
-// RunSectionResume is RunSection with resume hooks; see
-// RunSectionCoRunResume for their semantics.
-func (inj *Injector) RunSectionResume(ctx context.Context, inst *trace.Instance, classes []*sites.Class, hooks CampaignHooks) ([]metrics.Outcome, Stats) {
-	return inj.runAll(ctx, classes, experiment{
-		limit:    func(sites.Site) uint64 { return sectionLimit(inst) },
+// RunSectionResume is RunSection with the co-run shape and resume hooks.
+// With coRun set every experiment continues past the section to program
+// termination (§4.10) and fins holds the end-to-end outcomes, indexed like
+// classes; otherwise fins is nil. Classes marked in hooks.Skip are not
+// injected (their outcome slots stay zero for the caller to fill from
+// recovered records) and hooks.Record observes each completed experiment
+// for write-ahead logging.
+func (inj *Injector) RunSectionResume(ctx context.Context, inst *trace.Instance, classes []*sites.Class, coRun bool, hooks CampaignHooks) (outcomes, fins []metrics.Outcome, stats Stats) {
+	exp := experiment{
+		limit:    sectionLimit(inst),
 		finish:   func(m *vm.Machine, _ int, cd *cursorDiff) metrics.Outcome { return inj.sectionFinish(m, cd) },
-		conserv:  func(int) metrics.Outcome { return conservativeSDC(len(inst.IO.Outputs)) },
+		conserv:  func(int) metrics.Outcome { return ConservativeSDC(len(inst.IO.Outputs)) },
 		masked:   func(int) metrics.Outcome { return metrics.Outcome{Kind: metrics.Masked} },
 		roles:    newRoles(inst),
-		inPlace:  true,
+		inPlace:  !coRun,
 		cleanEnd: inst.Exit.Dyn,
 		hooks:    hooks,
-	})
+	}
+	if coRun {
+		fins = make([]metrics.Outcome, len(classes))
+		if rec := hooks.Record; rec != nil {
+			// Attach the end-to-end outcome: fins[i] is written by the same
+			// worker before the engine invokes Record.
+			exp.hooks.Record = func(i int, out metrics.Outcome, _ *metrics.Outcome, cost Stats) {
+				rec(i, out, &fins[i], cost)
+			}
+		}
+		exp.finish = func(m *vm.Machine, i int, cd *cursorDiff) metrics.Outcome {
+			sec := inj.sectionFinish(m, cd)
+			fins[i] = inj.monolithicFinish(m)
+			return sec
+		}
+		exp.conserv = func(i int) metrics.Outcome {
+			fins[i] = ConservativeSDC(len(inj.T.Prog.FinalOutputs))
+			return ConservativeSDC(len(inst.IO.Outputs))
+		}
+		exp.masked = func(i int) metrics.Outcome {
+			fins[i] = metrics.Outcome{Kind: metrics.Masked}
+			return metrics.Outcome{Kind: metrics.Masked}
+		}
+		exp.cleanEnd = inj.T.Final.Dyn
+	}
+	outcomes, stats = inj.runAll(ctx, classes, exp)
+	return outcomes, fins, stats
 }
 
 // experiment is the campaign-specific half of an injection: the timeout
-// limit for a site and the classification of a machine that is already
-// positioned at the site with the flip applied.
+// limit and the classification of a machine that is already positioned at
+// the site with the flip applied.
 type experiment struct {
-	limit func(site sites.Site) uint64
+	// limit is the timeout rule: the MaxDyn of every experiment.
+	limit uint64
 	// finish classifies class i's machine; cd is the worker's cursorDiff
 	// over roles, nil when roles is.
 	finish func(m *vm.Machine, i int, cd *cursorDiff) metrics.Outcome
@@ -438,11 +389,10 @@ type experiment struct {
 	inPlace bool
 	// conserv yields the conservative worst-case outcome for class i, used
 	// to fill the slot of a quarantined (twice-panicked) experiment so the
-	// downstream analysis stays sound. Nil means conservativeSDC(0).
+	// downstream analysis stays sound.
 	conserv func(i int) metrics.Outcome
 	// masked yields the outcome of a statically-proven-dead flip for class
-	// i — by construction the clean outcome of this experiment shape. Nil
-	// disables the elision tier for this campaign shape.
+	// i — by construction the clean outcome of this experiment shape.
 	masked func(i int) metrics.Outcome
 	// cleanEnd is the clean dynamic count at which this experiment shape
 	// terminates (section exit or program end); an elided experiment is
@@ -450,14 +400,6 @@ type experiment struct {
 	// scalar run of the proven-masked flip would have cost.
 	cleanEnd uint64
 	hooks    CampaignHooks
-}
-
-// conservative returns the quarantine outcome for class i.
-func (e *experiment) conservative(i int) metrics.Outcome {
-	if e.conserv == nil {
-		return conservativeSDC(0)
-	}
-	return e.conserv(i)
 }
 
 // ShardRange restricts a campaign to a contiguous slice of the canonical
@@ -558,14 +500,6 @@ func DynOrder(classes []*sites.Class) []int {
 	return order
 }
 
-// ConservativeSDC returns the +Inf-magnitude SDC outcome over the given
-// number of output buffers — the fill used for quarantined experiments.
-// Exported so a distributed coordinator can apply the same conservative
-// semantics to a poison record streamed back from a remote worker.
-func ConservativeSDC(outputs int) metrics.Outcome {
-	return conservativeSDC(outputs)
-}
-
 // batchFlip injects site's burst into replica k of a batch, the replica
 // counterpart of applyFlip's bit loop.
 func batchFlip(b *vm.Batch, k int, site sites.Site) {
@@ -595,9 +529,6 @@ func batchFlip(b *vm.Batch, k int, site sites.Site) {
 // population. Running before the worker split keeps each worker's chunk
 // contiguous in dyn order, so elision composes with sharding and resume.
 func (inj *Injector) elidePass(classes []*sites.Class, order []int, exp *experiment, outcomes []metrics.Outcome) ([]int, Stats) {
-	if exp.masked == nil {
-		return order, Stats{}
-	}
 	var stats Stats
 	rest := order[:0]
 	for _, i := range order {
@@ -744,7 +675,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 			// Fork: em mirrors the clean state at site.Dyn. Run the faulty
 			// suffix under a journal, classify, then undo only what it
 			// wrote.
-			em.MaxDyn = exp.limit(site)
+			em.MaxDyn = exp.limit
 			em.BeginJournal()
 			flipDyn, err := applyFlip(em, site)
 			if err != nil {
@@ -780,7 +711,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 			}
 			p := Poison{Class: i, Key: classes[i].Key, Attempts: attempt, MachineFP: rec.fp, Stack: rec.stack}
 			inj.notePoison(p)
-			outcomes[i] = exp.conservative(i)
+			outcomes[i] = exp.conserv(i)
 			expStats = Stats{Experiments: 1}
 			if exp.hooks.Poison != nil {
 				exp.hooks.Poison(p)
@@ -826,7 +757,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 			// instruction once — clean for those replicas, already faulty
 			// for source-flipped ones — and the destination flips land
 			// after it, the same order applyFlip imposes.
-			em.MaxDyn = exp.limit(classes[group[0]].PilotSite())
+			em.MaxDyn = exp.limit
 			b := batch.Reset(em, len(group))
 			hasDst := false
 			for j, i := range group {
@@ -868,7 +799,7 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 					// classify: the same verdict, one instruction later.
 					out, end = cd.survivor(b, j, em), b.Dyn()+1
 				} else {
-					em.MaxDyn = exp.limit(site)
+					em.MaxDyn = exp.limit
 					em.BeginJournal()
 					b.MaterializeInto(j, em)
 					out, end = exp.finish(em, i, cd), em.Dyn

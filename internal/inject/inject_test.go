@@ -89,7 +89,7 @@ func TestSectionExperimentSeesLocalSDC(t *testing.T) {
 		t.Fatal("site not inside the scale section")
 	}
 	m := tr.Start.Clone()
-	out, _ := inj.Section(m, inst, site)
+	out, _, _ := inj.Section(m, inst, site, false)
 	if out.Kind != metrics.SDC {
 		t.Fatalf("section outcome: %+v", out)
 	}
@@ -107,7 +107,7 @@ func TestSectionSideEffectIsConservative(t *testing.T) {
 	// into z's address — a live side effect outside its declared outputs.
 	site := siteAt(t, tr, isa.FST, 0, isa.OperandSrcB, 1)
 	m := tr.Start.Clone()
-	out, _ := inj.Section(m, inst, site)
+	out, _, _ := inj.Section(m, inst, site, false)
 	if out.Kind != metrics.SDC || !math.IsInf(out.MaxMagnitude(), 1) {
 		t.Errorf("side effect outcome: %+v, want conservative +Inf SDC", out)
 	}
@@ -147,7 +147,7 @@ func TestSectionTimeoutDetected(t *testing.T) {
 	// reads it: the loop now runs ~2^40 iterations.
 	site := siteAt(t, tr, isa.BLT, 0, isa.OperandSrcB, 40)
 	m := tr.Start.Clone()
-	out, _ := inj.Section(m, tr.Instances[0], site)
+	out, _, _ := inj.Section(m, tr.Instances[0], site, false)
 	if out.Kind != metrics.Detected || out.Reason != metrics.DetectTimeout {
 		t.Errorf("runaway loop: %+v, want detected timeout", out)
 	}

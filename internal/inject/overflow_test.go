@@ -122,7 +122,7 @@ func TestJournalOverflowMidRangeDoesNotPoisonCursor(t *testing.T) {
 	var wantSim uint64
 	m := tr.Start.Clone()
 	for i, c := range classes {
-		want, cost := inj.Section(m, inst, c.PilotSite())
+		want, _, cost := inj.Section(m, inst, c.PilotSite(), false)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("class %d: cursor engine %+v, per-site replay %+v", i, got[i], want)
 		}

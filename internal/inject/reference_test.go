@@ -18,7 +18,7 @@ import (
 func referenceVerdict(inst *trace.Instance, m *vm.Machine) metrics.Outcome {
 	out := refCompare(inst.IO.Outputs, inst.Exit, m)
 	if out.Kind != metrics.Detected && refLiveSideEffect(liveSpans(inst), inst, m) {
-		return conservativeSDC(len(inst.IO.Outputs))
+		return ConservativeSDC(len(inst.IO.Outputs))
 	}
 	return out
 }

@@ -190,7 +190,7 @@ func TestRunSectionResumeRangePartition(t *testing.T) {
 			got[i] = out
 		}}
 		shard := &Injector{T: tr, Workers: 2}
-		_, s := shard.RunSectionResume(context.Background(), inst, classes, hooks)
+		_, _, s := shard.RunSectionResume(context.Background(), inst, classes, false, hooks)
 		stats.Add(s)
 	}
 	if stats.Experiments != wholeStats.Experiments || stats.SimInstrs != wholeStats.SimInstrs {

@@ -166,7 +166,7 @@ func (t *tally) outcome() metrics.Outcome {
 	case t.malformed:
 		return metrics.Outcome{Kind: metrics.Detected, Reason: metrics.DetectBadOutput}
 	case t.live:
-		return conservativeSDC(len(t.mags))
+		return ConservativeSDC(len(t.mags))
 	}
 	for _, m := range t.mags {
 		if m != 0 {

@@ -9,6 +9,7 @@ import (
 	"fastflip/internal/bench"
 	"fastflip/internal/diffcheck"
 	"fastflip/internal/inject"
+	"fastflip/internal/maskelide"
 	"fastflip/internal/metrics"
 	"fastflip/internal/sites"
 	"fastflip/internal/spec"
@@ -49,12 +50,7 @@ func runCampaign(tr *trace.Trace, inst *trace.Instance, classes []*sites.Class, 
 	hooks := inject.CampaignHooks{Record: func(i int, _ metrics.Outcome, _ *metrics.Outcome, cost inject.Stats) {
 		r.costs[i] = cost
 	}}
-	ctx := context.Background()
-	if coRun {
-		r.secs, r.fins, r.stats = inj.RunSectionCoRunResume(ctx, inst, classes, hooks)
-	} else {
-		r.secs, r.stats = inj.RunSectionResume(ctx, inst, classes, hooks)
-	}
+	r.secs, r.fins, r.stats = inj.RunSectionResume(context.Background(), inst, classes, coRun, hooks)
 	return r
 }
 
@@ -154,12 +150,72 @@ func TestVerdictMatchesReferenceFuzz(t *testing.T) {
 					classes := sites.ForInstance(tr, inst, sites.Options{Prune: true})
 					outs, _ := inj.RunSection(context.Background(), inst, classes)
 					for i := 0; i < len(classes); i += 7 {
-						if got, _ := inj.Section(m, inst, classes[i].PilotSite()); !inject.SameOutcome(got, outs[i]) {
+						if got, _, _ := inj.Section(m, inst, classes[i].PilotSite(), false); !inject.SameOutcome(got, outs[i]) {
 							t.Errorf("section %d class %d: per-site %+v, campaign %+v", inst.Sec, i, got, outs[i])
 						}
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestCoRunSectionsMatchPlain is the gate on the co-run shape: a co-run
+// experiment is the section experiment followed by the monolithic finish,
+// so over the five originals and generated programs, with one or two
+// workers and batching on or off, every class's section outcome of a
+// co-run campaign equals the plain campaign's in kind, reason and the bits
+// of every magnitude. Elision is on, so the masked path is covered too.
+// Under the race detector each instance runs only a window of its dyn
+// order (coRunWindow), in which whole same-dyn groups still batch.
+func TestCoRunSectionsMatchPlain(t *testing.T) {
+	progs := map[string]*spec.Program{}
+	for _, name := range bench.Names() {
+		progs[name] = bench.MustBuild(name, bench.None)
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, fam := range []diffcheck.Family{diffcheck.FamilySound, diffcheck.FamilyMixed} {
+			p, err := diffcheck.Generate(seed, fam).Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs[fmt.Sprintf("%s-%d", fam, seed)] = p
+		}
+	}
+	for name, p := range progs {
+		t.Run(name, func(t *testing.T) {
+			tr := record(t, p)
+			opts := sites.Options{Prune: true, Masks: maskelide.Analyze(tr.Prog.Linked)}
+			compared, batched := 0, 0
+			for _, inst := range tr.Instances {
+				classes := sites.ForInstance(tr, inst, opts)
+				run := func(workers int, noBatch, coRun bool) ([]metrics.Outcome, []metrics.Outcome, inject.Stats) {
+					inj := &inject.Injector{T: tr, Workers: workers, NoBatch: noBatch}
+					hooks := inject.CampaignHooks{Range: &inject.ShardRange{Lo: 0, Hi: coRunWindow}}
+					return inj.RunSectionResume(context.Background(), inst, classes, coRun, hooks)
+				}
+				plain, _, _ := run(1, true, false)
+				for _, cfg := range []struct {
+					workers int
+					noBatch bool
+				}{{1, false}, {1, true}, {2, false}, {2, true}} {
+					secs, fins, stats := run(cfg.workers, cfg.noBatch, true)
+					if len(fins) != len(classes) {
+						t.Fatalf("co-run returned %d end-to-end outcomes for %d classes", len(fins), len(classes))
+					}
+					for i := range classes {
+						if !inject.SameOutcome(secs[i], plain[i]) {
+							t.Errorf("section %d occurrence %d class %d, workers %d noBatch %v: co-run %+v, plain %+v",
+								inst.Sec, inst.Occur, i, cfg.workers, cfg.noBatch, secs[i], plain[i])
+						}
+					}
+					compared += stats.Experiments
+					batched += stats.BatchExperiments
+				}
+			}
+			if compared == 0 || batched == 0 {
+				t.Fatalf("%d co-run experiments compared, %d batched; the gate is vacuous", compared, batched)
+			}
+		})
 	}
 }

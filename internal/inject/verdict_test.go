@@ -140,7 +140,7 @@ func TestVerdictTargetedCases(t *testing.T) {
 	}{{1, false}, {2, false}, {1, true}, {2, true}} {
 		inj := &Injector{T: tr, Workers: cfg.workers, NoBatch: cfg.noBatch}
 		inBatch := make([]bool, len(classes))
-		outs, _ := inj.RunSectionResume(context.Background(), inst, classes, CampaignHooks{
+		outs, _, _ := inj.RunSectionResume(context.Background(), inst, classes, false, CampaignHooks{
 			Record: func(i int, _ metrics.Outcome, _ *metrics.Outcome, cost Stats) { inBatch[i] = cost.BatchExperiments > 0 },
 		})
 		if first == nil {
@@ -405,7 +405,7 @@ func TestJournalOverflowVerdicts(t *testing.T) {
 			got, _ := inj.RunSection(context.Background(), inst, classes)
 			m := tr.Start.Clone()
 			for i, c := range classes {
-				if want, _ := inj.Section(m, inst, c.PilotSite()); !sameOutcome(got[i], want) {
+				if want, _, _ := inj.Section(m, inst, c.PilotSite(), false); !sameOutcome(got[i], want) {
 					t.Errorf("iters %d no-batch %v class %d: campaign %+v, per-site %+v", iters, noBatch, i, got[i], want)
 				}
 			}

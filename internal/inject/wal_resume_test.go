@@ -41,7 +41,7 @@ func TestResumeMidSectionCampaign(t *testing.T) {
 	kill := len(classes) / 2
 	ctx, cancel := context.WithCancel(context.Background())
 	logged := 0
-	_, stats1 := inj.RunSectionResume(ctx, inst, classes, CampaignHooks{
+	_, _, stats1 := inj.RunSectionResume(ctx, inst, classes, false, CampaignHooks{
 		Record: func(i int, out metrics.Outcome, fin *metrics.Outcome, cost Stats) {
 			if err := w.Append(WALRecord{Key: classes[i].Key, Out: out, Fin: fin, Cost: cost}); err != nil {
 				t.Errorf("append: %v", err)
@@ -80,7 +80,7 @@ func TestResumeMidSectionCampaign(t *testing.T) {
 			outcomes[i] = r.Out
 		}
 	}
-	resumedOut, stats2 := inj.RunSectionResume(context.Background(), inst, classes, CampaignHooks{
+	resumedOut, _, stats2 := inj.RunSectionResume(context.Background(), inst, classes, false, CampaignHooks{
 		Skip: skip,
 		Record: func(i int, out metrics.Outcome, fin *metrics.Outcome, cost Stats) {
 			if err := w2.Append(WALRecord{Key: classes[i].Key, Out: out, Fin: fin, Cost: cost}); err != nil {
@@ -134,7 +134,7 @@ func TestResumeSkipPreservesContiguity(t *testing.T) {
 		skip[i] = i%3 == 0
 	}
 	full, _ := inj.RunSection(context.Background(), inst, classes)
-	part, stats := inj.RunSectionResume(context.Background(), inst, classes, CampaignHooks{Skip: skip})
+	part, _, stats := inj.RunSectionResume(context.Background(), inst, classes, false, CampaignHooks{Skip: skip})
 	want := 0
 	for i := range classes {
 		if skip[i] {

@@ -45,6 +45,25 @@ func TestPutRefusesOversize(t *testing.T) {
 	}
 }
 
+// TestTierPublishCountsRefusal: a section the tier refuses through
+// TierPublish, which has no error to return, is counted in
+// Stats.PublishErrs instead of vanishing silently.
+func TestTierPublishCountsRefusal(t *testing.T) {
+	s := mustOpen(t, Options{Dir: t.TempDir()})
+	defer s.Close()
+	tier := s.AsTier("t")
+	tier.TierPublish(testKey(1), testSection(1))
+	restore := SetMaxPayload(1)
+	tier.TierPublish(testKey(2), testSection(2))
+	restore()
+	if st := s.Stats(); st.PublishErrs != 1 || st.Publishes != 1 {
+		t.Fatalf("publish_errors %d, publishes %d; want 1 and 1", st.PublishErrs, st.Publishes)
+	}
+	if tier.TierLookup(testKey(2)) != nil {
+		t.Fatal("refused section is visible")
+	}
+}
+
 // TestPutRefusesRaggedAmp: a ragged amplification matrix is an encode
 // error, the same as the WAL's amp record.
 func TestPutRefusesRaggedAmp(t *testing.T) {

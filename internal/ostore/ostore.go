@@ -125,13 +125,17 @@ type Stats struct {
 	Publishes uint64 `json:"publishes"`
 	// Evictions counts sections dropped to enforce a tenant quota or, in
 	// a memory-only store, MaxCacheBytes.
-	Evictions  uint64 `json:"evictions"`
-	FlushErrs  uint64 `json:"flush_errors"`
-	Corrupt    uint64 `json:"corrupt_records"`
-	Bytes      int64  `json:"bytes"`       // live on-disk payload bytes
-	CacheBytes int64  `json:"cache_bytes"` // decoded-LRU footprint
-	Sections   int    `json:"sections"`    // live sections, staged ones included
-	Segments   int    `json:"segments"`
+	Evictions uint64 `json:"evictions"`
+	// PublishErrs counts sections Put refused: a record the frame cannot
+	// carry (ragged, or over record.MaxPayload) or a closed store. A
+	// refused section never reaches the tier.
+	PublishErrs uint64 `json:"publish_errors"`
+	FlushErrs   uint64 `json:"flush_errors"`
+	Corrupt     uint64 `json:"corrupt_records"`
+	Bytes       int64  `json:"bytes"`       // live on-disk payload bytes
+	CacheBytes  int64  `json:"cache_bytes"` // decoded-LRU footprint
+	Sections    int    `json:"sections"`    // live sections, staged ones included
+	Segments    int    `json:"segments"`
 	// Tenants maps tenant names to their counters; tenants appear on
 	// their first lookup or publish.
 	Tenants map[string]TenantStats `json:"tenants,omitempty"`
@@ -335,6 +339,7 @@ func (s *Store) Put(tenant string, key store.Key, sec *store.Section) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
+		s.stats.PublishErrs++
 		return ErrClosed
 	}
 	if _, ok := s.pending[key]; ok {
@@ -355,6 +360,7 @@ func (s *Store) Put(tenant string, key store.Key, sec *store.Section) error {
 		frame, err = appendFrame(make([]byte, 0, record.HeaderSize+len(payload)), payload)
 	}
 	if err != nil {
+		s.stats.PublishErrs++
 		return fmt.Errorf("ostore: encoding section %s: %w", key, err)
 	}
 	s.scratch = payload[:0]
@@ -804,7 +810,7 @@ func (t *Tier) TierLookup(key store.Key) *store.Section {
 }
 
 // TierPublish stages sec; it reaches other handles on the store's next
-// Flush. Publish errors surface through the store's stats.
+// Flush. A refused section is counted in the store's Stats.PublishErrs.
 func (t *Tier) TierPublish(key store.Key, sec *store.Section) {
 	_ = t.s.Put(t.tenant, key, sec)
 }

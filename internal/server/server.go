@@ -28,10 +28,11 @@
 // restarting a process that is still finishing jobs.
 //
 // Errors are returned as {"error": "..."} with 400 (a request the client
-// can fix: malformed JSON, unknown benchmark, invalid spec), 404 (unknown
-// job), 409 (cancelling a finished job), 429 (tenant over its active-job
-// quota), 500 (the service's own machinery failed — unwritable WAL
-// directory, store-tier I/O), or 503 (queue full or shutting down).
+// can fix: malformed JSON, trailing data, an unknown field or benchmark, a
+// numeric field out of range, invalid spec), 404 (unknown job), 409
+// (cancelling a finished job), 429 (tenant over its active-job quota), 500
+// (the service's own machinery failed — unwritable WAL directory,
+// store-tier I/O), or 503 (queue full or shutting down).
 // Queue-full 503s and quota 429s carry a Retry-After header so clients
 // back off instead of hammering the queue.
 package server
@@ -134,15 +135,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var req service.Request
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if dec.More() {
-		s.fail(w, http.StatusBadRequest, errors.New("trailing data after request object"))
 		return
 	}
 	job, err := s.mgr.Submit(req)
@@ -158,6 +152,20 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reply(w, http.StatusAccepted, job)
+}
+
+// decodeBody decodes a submission body into v: exactly one JSON value of
+// at most maxBodyBytes, no unknown fields, nothing but space after it.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after request object")
+	}
+	return nil
 }
 
 // maxBatchJobs bounds one batch submission.
@@ -180,10 +188,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []service.Request `json:"jobs"`
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}

@@ -212,6 +212,12 @@ func TestBadRequests(t *testing.T) {
 		{"unknown benchmark", `{"bench":"nope"}`},
 		{"unknown variant", `{"bench":"pipe","variant":"huge"}`},
 		{"trailing data", `{"bench":"pipe"} {"bench":"pipe"}`},
+		{"trailing delimiter", `{"bench":"pipe"}}`},
+		{"negative workers", `{"bench":"pipe","workers":-1}`},
+		{"negative epsilon", `{"bench":"pipe","epsilon":-0.5}`},
+		{"target above one", `{"bench":"pipe","targets":[0.9,1.5]}`},
+		{"zero target", `{"bench":"pipe","targets":[0]}`},
+		{"harden target above one", `{"bench":"pipe","harden":true,"harden_target":2}`},
 	}
 	for _, tc := range cases {
 		var e map[string]string

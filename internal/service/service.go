@@ -85,6 +85,31 @@ type Request struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
+// maxTargets bounds a request's protection targets; each one is a
+// knapsack evaluation of the job.
+const maxTargets = 64
+
+// validate rejects numeric fields outside their domain: a request that
+// could only fail (or misbehave) once it ran.
+func (r Request) validate() error {
+	switch {
+	case r.Workers < 0:
+		return fmt.Errorf("workers %d is negative", r.Workers)
+	case r.Epsilon < 0:
+		return fmt.Errorf("epsilon %g is negative", r.Epsilon)
+	case r.HardenTarget < 0 || r.HardenTarget > 1:
+		return fmt.Errorf("harden_target %g outside [0, 1]", r.HardenTarget)
+	case len(r.Targets) > maxTargets:
+		return fmt.Errorf("%d targets (max %d)", len(r.Targets), maxTargets)
+	}
+	for _, v := range r.Targets {
+		if !(v > 0 && v <= 1) {
+			return fmt.Errorf("target %g outside (0, 1]", v)
+		}
+	}
+	return nil
+}
+
 // tenant returns the request's tenant name, defaulted.
 func (r Request) tenant() string {
 	if r.Tenant == "" {
@@ -171,8 +196,11 @@ type Metrics struct {
 	SharedMisses    uint64 `json:"shared_misses"`
 	SharedBytes     int64  `json:"shared_bytes"`
 	SharedEvictions uint64 `json:"shared_evictions"`
-	SharedSections  int    `json:"shared_sections"`
-	SharedSegments  int    `json:"shared_segments"`
+	// SharedPublishErrors counts finished sections the cache refused to
+	// stage (a record the frame cannot carry): they were never cached.
+	SharedPublishErrors uint64 `json:"shared_publish_errors"`
+	SharedSections      int    `json:"shared_sections"`
+	SharedSegments      int    `json:"shared_segments"`
 	// SharedTenants maps tenant names to their shared-tier counters.
 	SharedTenants map[string]ostore.TenantStats `json:"shared_tenants,omitempty"`
 	// ClientDisconnects counts response writes abandoned because the
@@ -355,6 +383,9 @@ func New(opts Options) *Manager {
 // a tenant at its active-job quota ErrTenantQuota, and a draining manager
 // ErrClosed.
 func (m *Manager) Submit(req Request) (JobView, error) {
+	if err := req.validate(); err != nil {
+		return JobView{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
 	if req.Variant == "" {
 		req.Variant = string(bench.None)
 	}
@@ -558,6 +589,7 @@ func (m *Manager) Metrics() Metrics {
 	mt.SharedMisses = st.Misses
 	mt.SharedBytes = st.Bytes
 	mt.SharedEvictions = st.Evictions
+	mt.SharedPublishErrors = st.PublishErrs
 	mt.SharedSections = st.Sections
 	mt.SharedSegments = st.Segments
 	mt.SharedTenants = st.Tenants
