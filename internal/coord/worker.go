@@ -47,30 +47,41 @@ type WorkerOptions struct {
 // GET /healthz (liveness, reporting the worker ID). Both ffserved's
 // -worker mode and in-test workers are this handler behind a listener.
 //
-// A worker holds no campaign state between shards beyond a trace cache:
-// every lease names its benchmark, instance, and range, and runs on the
-// same in-process engine a local analysis uses (core.LocalInjector). The
-// worker's determinism guarantee — same benchmark build, same recorded
-// trace, same class enumeration — is checked per shard through the
-// section key and campaign fingerprint rather than assumed.
+// A worker holds no campaign state between shards beyond one cached trace
+// per benchmark version: every lease names its benchmark, instance, and
+// range, and runs on the same in-process engine a local analysis uses
+// (core.LocalInjector). The worker's determinism guarantee — same
+// benchmark build, same recorded trace, same class enumeration — is
+// checked per shard through the section key and campaign fingerprint
+// rather than assumed.
 type Worker struct {
 	opts WorkerOptions
 	mux  *http.ServeMux
 
 	mu     sync.Mutex
-	traces map[traceKey]*leaseTrace
+	traces map[benchVersion]*leaseTrace
 }
 
-// traceKey names one cached trace: a benchmark version under one lease
-// configuration.
-type traceKey struct {
-	bench, variant string
-	cfg            ShardConfig
+// benchVersion names one benchmark version.
+type benchVersion struct{ bench, variant string }
+
+// traceShape is the part of a lease configuration that shapes the
+// recorded trace (the checkpoint interval) and the class enumeration
+// (the site knobs).
+type traceShape struct {
+	checkpointInterval int64
+	prune, elide       bool
+	burstWidth         int
 }
 
-// leaseTrace is a recorded trace with the site options of the
-// configuration it was recorded for, computed once with it.
+func shapeOf(cfg ShardConfig) traceShape {
+	return traceShape{checkpointInterval: cfg.CheckpointInterval, prune: cfg.Prune, elide: cfg.Elide, burstWidth: cfg.BurstWidth}
+}
+
+// leaseTrace is a recorded trace with the site options of the shape it
+// was recorded for, computed once with it.
 type leaseTrace struct {
+	shape    traceShape
 	t        *trace.Trace
 	siteOpts sites.Options
 }
@@ -85,7 +96,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 			return bench.Build(name, bench.Variant(variant))
 		}
 	}
-	w := &Worker{opts: opts, mux: http.NewServeMux(), traces: make(map[traceKey]*leaseTrace)}
+	w := &Worker{opts: opts, mux: http.NewServeMux(), traces: make(map[benchVersion]*leaseTrace)}
 	w.mux.HandleFunc("POST "+shardPath, w.shard)
 	w.mux.HandleFunc("GET "+healthPath, w.healthz)
 	return w
@@ -105,16 +116,17 @@ func (w *Worker) healthz(rw http.ResponseWriter, _ *http.Request) {
 }
 
 // traceFor records (or reuses) the trace of one benchmark version under
-// the lease configuration cfg, with its site options. The cache is keyed
-// by the whole configuration: the checkpoint interval shapes the trace and
-// the site knobs shape the class enumeration, and a lease must run
-// against exactly what its fingerprint was computed over.
+// the lease configuration cfg, with its site options. The worker keeps one
+// trace per benchmark version and replaces it when a lease's trace shape
+// differs: the checkpoint interval shapes the trace and the site knobs
+// shape the class enumeration, and a lease must run against exactly what
+// its fingerprint was computed over.
 func (w *Worker) traceFor(benchName, variant string, cfg ShardConfig) (*leaseTrace, error) {
-	key := traceKey{benchName, variant, cfg}
+	key, shape := benchVersion{benchName, variant}, shapeOf(cfg)
 	w.mu.Lock()
 	lt := w.traces[key]
 	w.mu.Unlock()
-	if lt != nil {
+	if lt != nil && lt.shape == shape {
 		return lt, nil
 	}
 	p, err := w.opts.Build(benchName, variant)
@@ -125,7 +137,7 @@ func (w *Worker) traceFor(benchName, variant string, cfg ShardConfig) (*leaseTra
 	if err != nil {
 		return nil, err
 	}
-	lt = &leaseTrace{t: t, siteOpts: core.SiteOptions(t, cfg.analysisConfig(0))}
+	lt = &leaseTrace{shape: shape, t: t, siteOpts: core.SiteOptions(t, cfg.analysisConfig(0))}
 	w.mu.Lock()
 	w.traces[key] = lt
 	w.mu.Unlock()

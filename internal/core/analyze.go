@@ -14,8 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"fastflip/internal/chisel"
@@ -277,10 +275,18 @@ func (a *Analyzer) Analyze(p *spec.Program) (*Result, error) {
 }
 
 // AnalyzeContext is Analyze with cancellation: when ctx is cancelled the
-// in-flight injection campaign stops between experiments and the call
+// in-flight injection campaigns stop between experiments and the call
 // returns ctx.Err(). Sections fully analyzed before the cancellation have
 // already been stored, so a later retry reuses them.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result, error) {
+	return a.analyze(ctx, p, (*analysis).pipeline)
+}
+
+// analyze records p's trace, resolves every section instance through the
+// given driver, and composes the end-to-end specification. Production
+// always drives the sections through the pipeline; the oracles'
+// sequential reference driver plugs in here.
+func (a *Analyzer) analyze(ctx context.Context, p *spec.Program, sections func(*analysis, context.Context) error) (*Result, error) {
 	started := time.Now()
 	t, err := trace.RecordWith(p, trace.Options{CheckpointInterval: a.Cfg.CheckpointInterval})
 	if err != nil {
@@ -295,245 +301,25 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 		siteOpts:    siteOpts,
 		untestedBad: make(map[prog.StaticID]int),
 	}
-	var injector SectionInjector = LocalInjector{}
+	an := &analysis{a: a, r: r, t: t, injector: LocalInjector{}, pool: inject.NewPool(a.Cfg.Workers)}
 	if a.Cfg.SectionInjector != nil {
-		injector = a.Cfg.SectionInjector
+		an.injector = a.Cfg.SectionInjector
 	}
-
-	var cam *campaign
 	if a.Cfg.WALDir != "" {
-		if cam, err = openCampaign(a.Cfg.WALDir, p, t, a.Cfg); err != nil {
+		if an.cam, err = openCampaign(a.Cfg.WALDir, p, t, a.Cfg); err != nil {
 			return nil, err
 		}
 		defer func() {
-			r.WALNotes = cam.takeNotes()
-			r.WALDegraded = cam.wasDegraded()
-			cam.closeCampaign()
+			r.WALNotes = an.cam.takeNotes()
+			r.WALDegraded = an.cam.wasDegraded()
+			an.cam.closeCampaign()
 		}()
 	}
-	report := func() {
-		if a.Progress != nil {
-			a.Progress(Progress{
-				Instances:          len(t.Instances),
-				Done:               r.ReusedInstances + r.InjectedInstances,
-				Reused:             r.ReusedInstances,
-				Injected:           r.InjectedInstances,
-				Experiments:        r.FFInject.Experiments,
-				SimInstrs:          r.FFCost(),
-				CleanInstrs:        r.FFInject.CleanInstrs,
-				FaultyInstrs:       r.FFInject.FaultyInstrs,
-				ResumedExperiments: r.FFRecovered.Experiments,
-				ElidedExperiments:  r.FFInject.ElidedExperiments,
-				ElidedInstrs:       r.FFInject.ElidedInstrs,
-				Batches:            r.FFInject.Batches,
-				BatchExperiments:   r.FFInject.BatchExperiments,
-				WALDegraded:        cam.wasDegraded(),
-				Poisoned:           len(r.Poisoned),
-			})
-		}
-	}
-	report()
-
-	// Each injected section's sensitivity estimation runs on its own
-	// goroutine alongside the section's campaign. Every return path joins
-	// the one in flight, re-raising its panic here.
-	var pendingSens *sensJob
-	defer func() {
-		if pendingSens != nil {
-			pendingSens.wait()
-		}
-	}()
+	an.report()
 
 	r.Amps = make([]*sens.Amplification, len(t.Instances))
-	for idx, inst := range t.Instances {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		classes := sites.ForInstance(t, inst, siteOpts)
-		key, keyErr := SectionKey(t, inst, a.Cfg)
-		if keyErr != nil {
-			// A buffer declaration outside the machine's memory: the spec
-			// is malformed, and an unkeyable section can neither reuse nor
-			// publish results. Fail the job instead of panicking it.
-			return nil, fmt.Errorf("core: computing reuse key for instance %d: %w", idx, keyErr)
-		}
-		if st := a.storeLookup(key, classes); st != nil {
-			for _, c := range classes {
-				rec := classRecord{class: c, out: st.Outcomes[c.Key].ToMetrics(), inst: idx}
-				if st.Final != nil {
-					fin := st.Final[c.Key].ToMetrics()
-					rec.fin = &fin
-				}
-				r.ffClasses = append(r.ffClasses, rec)
-			}
-			r.Amps[idx] = &sens.Amplification{K: st.Amp}
-			r.ReusedInstances++
-			report()
-			continue
-		}
-
-		// Open this section's write-ahead segment. Experiments recovered
-		// from it are marked in skip and merged instead of re-executed;
-		// everything the engine runs is appended through the record hook
-		// before the campaign moves on.
-		wal, recovered := cam.openSection(key)
-		var skip []bool
-		var recStats inject.Stats
-		nRecovered := 0
-		if wal != nil && len(recovered.Records) > 0 {
-			skip = make([]bool, len(classes))
-			for i, c := range classes {
-				if rec, ok := recovered.Records[c.Key]; ok && (!a.Cfg.CoRunBaseline || rec.Fin != nil) {
-					skip[i] = true
-					nRecovered++
-					recStats.Add(rec.Cost)
-				}
-			}
-		}
-		hooks := inject.CampaignHooks{Skip: skip}
-		if wal != nil {
-			var appendErr sync.Once
-			hooks.Record = func(i int, out metrics.Outcome, fin *metrics.Outcome, cost inject.Stats) {
-				if err := wal.Append(inject.WALRecord{Key: classes[i].Key, Out: out, Fin: fin, Cost: cost}); err != nil {
-					appendErr.Do(func() { cam.note(fmt.Sprintf("section %s: wal append: %v", key, err)) })
-				}
-			}
-			hooks.Poison = func(p inject.Poison) {
-				if err := wal.AppendPoison(inject.WALPoison{Key: p.Key, Attempts: p.Attempts, MachineFP: p.MachineFP, Stack: p.Stack}); err != nil {
-					cam.note(fmt.Sprintf("section %s: wal poison append: %v", key, err))
-				}
-			}
-			hooks.Shard = func(s inject.WALShard) {
-				if err := wal.AppendShard(s); err != nil {
-					cam.note(fmt.Sprintf("section %s: wal shard append: %v", key, err))
-				}
-			}
-		}
-
-		// A fully recovered, sealed section reuses its logged sensitivity
-		// matrix; otherwise the (deterministic) estimation reruns while the
-		// campaign does, and the segment is sealed behind it.
-		reuseAmp := nRecovered == len(classes) && recovered.Amp != nil
-		if !reuseAmp {
-			pendingSens = startSens(t, inst, a.Cfg.Sens)
-		}
-
-		res, err := injector.InjectSection(ctx, SectionJob{
-			Trace:    t,
-			Instance: idx,
-			Key:      key,
-			Classes:  classes,
-			Hooks:    hooks,
-			Config:   a.Cfg,
-		})
-		if err != nil {
-			if wal != nil {
-				cam.markPartial(key, wal.Count())
-				wal.Close()
-			}
-			return nil, err
-		}
-		outcomes, fins, stats := res.Outcomes, res.Fins, res.Stats
-		r.RemoteExperiments += res.Remote
-		r.ShardsMerged += res.Shards
-		r.HedgedDispatches += res.HedgedDispatches
-		r.Releases += res.Releases
-		r.Poisoned = append(r.Poisoned, res.Poisoned...)
-		r.PanicRetries += res.PanicRetries
-		r.FFInject.Add(stats)
-		if err := ctx.Err(); err != nil {
-			// The campaign was cut short: the outcome slices are partial
-			// and must not be recorded or stored. The WAL keeps every
-			// completed experiment for the retry.
-			if wal != nil {
-				cam.markPartial(key, wal.Count())
-				wal.Close()
-			}
-			return nil, err
-		}
-		// Fill the skipped slots from the recovered records so the merged
-		// section is indistinguishable from an uninterrupted campaign.
-		for i := range classes {
-			if i < len(skip) && skip[i] {
-				rec := recovered.Records[classes[i].Key]
-				outcomes[i] = rec.Out
-				if fins != nil && rec.Fin != nil {
-					fins[i] = *rec.Fin
-				}
-			}
-		}
-		r.FFInject.Add(recStats)
-		r.FFRecovered.Add(recStats)
-
-		var amp *sens.Amplification
-		if reuseAmp {
-			amp = &sens.Amplification{K: recovered.Amp.K}
-			r.FFSens.Runs += recovered.Amp.Runs
-			r.FFSens.SimInstrs += recovered.Amp.SimInstrs
-		} else {
-			var sstats sens.Stats
-			amp, sstats = pendingSens.wait()
-			pendingSens = nil
-			r.FFSens.Runs += sstats.Runs
-			r.FFSens.SimInstrs += sstats.SimInstrs
-			if wal != nil {
-				if err := wal.AppendAmp(inject.WALAmp{K: amp.K, Runs: sstats.Runs, SimInstrs: sstats.SimInstrs}); err != nil {
-					cam.note(fmt.Sprintf("section %s: wal amp append: %v", key, err))
-				}
-			}
-		}
-		if wal != nil {
-			if !recovered.Sealed && !wal.Degraded() {
-				if err := wal.Seal(); err != nil {
-					cam.note(fmt.Sprintf("section %s: wal seal: %v", key, err))
-				}
-			}
-			if wal.Degraded() {
-				// The segment latched off after a persistent write failure.
-				// This section's results live only in memory — the manifest
-				// keeps it partial so a resume re-injects the unlogged
-				// remainder — and the next section re-arms the log with a
-				// fresh segment.
-				cam.setDegraded(key)
-				cam.markPartial(key, wal.Count())
-			} else {
-				cam.markSealed(key, wal.Count())
-			}
-			wal.Close()
-		}
-		r.Amps[idx] = amp
-		r.InjectedInstances++
-
-		for i, c := range classes {
-			rec := classRecord{class: c, out: outcomes[i], inst: idx}
-			if fins != nil {
-				rec.fin = &fins[i]
-			}
-			r.ffClasses = append(r.ffClasses, rec)
-		}
-		// A section with quarantined experiments holds conservative fills,
-		// not results: storing it under its content key would hand the
-		// fills to every later lookup as if they were outcomes.
-		if a.Store != nil && len(res.Poisoned) == 0 {
-			secStats := recStats
-			secStats.Add(stats)
-			stored := &store.Section{
-				Outcomes:  make(map[sites.ClassKey]store.Outcome, len(classes)),
-				Amp:       amp.K,
-				SimInstrs: secStats.SimInstrs,
-			}
-			if fins != nil {
-				stored.Final = make(map[sites.ClassKey]store.Outcome, len(classes))
-			}
-			for i, c := range classes {
-				stored.Outcomes[c.Key] = store.FromMetrics(outcomes[i])
-				if fins != nil {
-					stored.Final[c.Key] = store.FromMetrics(fins[i])
-				}
-			}
-			a.Store.Put(key, stored)
-		}
-		report()
+	if err := sections(an, ctx); err != nil {
+		return nil, err
 	}
 
 	// Untested sites: conservatively SDC-Bad, no injection cost.
@@ -551,56 +337,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 	r.Costs, r.TotalCost = costModel(t, a.Cfg.CostModel)
 	r.FFWall = time.Since(started)
 	return r, nil
-}
-
-// sensitivity is the estimator startSens runs; only tests swap it.
-var sensitivity = sens.Analyze
-
-// sensJob is one section's sensitivity estimation, running on its own
-// goroutine.
-type sensJob struct {
-	done     chan struct{}
-	amp      *sens.Amplification
-	stats    sens.Stats
-	panicked *sensPanic
-}
-
-// sensPanic is a panic recovered on a sensitivity goroutine, carrying the
-// stack it was raised on.
-type sensPanic struct {
-	val   any
-	stack []byte
-}
-
-func (p *sensPanic) Error() string {
-	return fmt.Sprintf("sensitivity estimation panicked: %v\n%s", p.val, p.stack)
-}
-
-// startSens starts estimating inst's amplification matrix. A panic is
-// recovered on the estimation goroutine and re-raised by wait.
-func startSens(t *trace.Trace, inst *trace.Instance, cfg sens.Config) *sensJob {
-	j := &sensJob{done: make(chan struct{})}
-	go func() {
-		defer close(j.done)
-		defer func() {
-			if p := recover(); p != nil {
-				j.panicked = &sensPanic{val: p, stack: debug.Stack()}
-			}
-		}()
-		j.amp, j.stats = sensitivity(t, inst, cfg)
-	}()
-	return j
-}
-
-// wait joins the estimation and returns its result. A panic of the
-// estimation is re-raised on the caller's goroutine, where the job's
-// panic guard sees it.
-func (j *sensJob) wait() (*sens.Amplification, sens.Stats) {
-	<-j.done
-	if j.panicked != nil {
-		panic(j.panicked)
-	}
-	return j.amp, j.stats
 }
 
 // storeLookup returns the stored section for key only if it covers every

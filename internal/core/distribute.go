@@ -21,6 +21,15 @@ import (
 // slices with the skipped slots left zero for the caller to fill from
 // recovery.
 //
+// Concurrency: AnalyzeContext overlaps a section's campaign with the
+// next one's, so InjectSection may be called for two sections of one
+// analysis at once, each call with its own job, hooks and context. An
+// implementation must be safe for that: LocalInjector and the oracles'
+// reference engine keep no state between calls (the analysis's shared
+// inject.Pool is safe for concurrent campaigns), and a coordinator keeps
+// each call's scheduling state apart and guards what its calls share.
+// Cancelling one call's context stops that call only.
+//
 // The interface lives in core (not coord) so coord can depend on core's
 // Config and Result types without an import cycle.
 type SectionInjector interface {
@@ -47,13 +56,17 @@ type SectionJob struct {
 	// (CoRunBaseline), engine knobs (Workers, NoBatch, the panic hook) and
 	// the fingerprint a remote worker validates.
 	Config Config
+	// Pool is the analysis's shared set of injection worker slots; the
+	// local engine runs the campaign's chunks on it. Nil gives the
+	// campaign a private pool of Config.Workers slots.
+	Pool *inject.Pool
 }
 
 // Injector returns an injector over the job's trace with the job's engine
 // knobs: LocalInjector runs the campaign on it, and the oracles' reference
 // engine its per-site experiments.
 func (j SectionJob) Injector() *inject.Injector {
-	return &inject.Injector{T: j.Trace, Workers: j.Config.Workers, NoBatch: j.Config.NoBatch, PanicHook: j.Config.ExperimentPanicHook}
+	return &inject.Injector{T: j.Trace, Workers: j.Config.Workers, NoBatch: j.Config.NoBatch, PanicHook: j.Config.ExperimentPanicHook, Pool: j.Pool}
 }
 
 // SectionResult is what a SectionInjector delivers for one section.
@@ -85,7 +98,8 @@ type SectionResult struct {
 }
 
 // LocalInjector is the in-process section engine: the job's campaign on
-// one inject.Injector, with the engine knobs of job.Config. It is the
+// one inject.Injector, with the engine knobs of job.Config, its chunks on
+// job.Pool's slots. It is the
 // engine AnalyzeContext uses when no SectionInjector is configured, the
 // one a coordinator falls back to, and the one a shard worker runs its
 // leases on. Cancellation leaves partial outcomes; callers check ctx.

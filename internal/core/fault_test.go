@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"encoding/hex"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -342,15 +342,15 @@ func TestPoisonedSectionNotStored(t *testing.T) {
 	}
 	sumRef := rRef.Summarize(cfg.Epsilon, nil)
 
-	var sectionsDone atomic.Int32
+	// The second section's campaign may run while the first one's is in
+	// flight, so the hook is armed for instance 0's campaign only.
 	cfgP := cfg
-	cfgP.ExperimentPanicHook = func(class, attempt int) {
-		if sectionsDone.Load() == 0 && class == 0 {
+	cfgP.SectionInjector = instanceHook{inst: 0, hook: func(class, attempt int) {
+		if class == 0 {
 			panic("test-poison boom")
 		}
-	}
+	}}
 	a := NewAnalyzer(cfgP)
-	a.Progress = func(pr Progress) { sectionsDone.Store(int32(pr.Done)) }
 	r, err := a.Analyze(p)
 	if err != nil {
 		t.Fatal(err)
@@ -381,4 +381,18 @@ func TestPoisonedSectionNotStored(t *testing.T) {
 	if !reflect.DeepEqual(sumRef.Outcomes, sum2.Outcomes) {
 		t.Errorf("rerun outcomes differ from uninterrupted run:\nref:   %+v\nrerun: %+v", sumRef.Outcomes, sum2.Outcomes)
 	}
+}
+
+// instanceHook runs every section on the local engine, with hook as the
+// experiment panic hook of instance inst's campaign only.
+type instanceHook struct {
+	inst int
+	hook func(class, attempt int)
+}
+
+func (h instanceHook) InjectSection(ctx context.Context, job SectionJob) (SectionResult, error) {
+	if job.Instance == h.inst {
+		job.Config.ExperimentPanicHook = h.hook
+	}
+	return LocalInjector{}.InjectSection(ctx, job)
 }

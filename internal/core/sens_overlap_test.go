@@ -20,43 +20,54 @@ func (f failingInjector) InjectSection(context.Context, SectionJob) (SectionResu
 	return SectionResult{}, f.err
 }
 
+// sensFlags records, per section of the testprog pipeline, that its
+// estimation started and that it finished. Each section's estimation
+// writes only its own flags, and two may run at once.
+type sensFlags struct{ started, finished [2]bool }
+
+// joined reports whether every estimation that started also finished.
+func (f *sensFlags) joined() bool {
+	return f.started != [2]bool{} && f.started == f.finished
+}
+
 // slowSens is a sensitivity estimator that outlasts the campaign it runs
-// beside and records that it finished. The plain write to *finished is
-// read after AnalyzeContext returns, so the race detector flags any return
-// path that does not join the estimation.
-func slowSens(finished *bool, before func()) func(*trace.Trace, *trace.Instance, sens.Config) (*sens.Amplification, sens.Stats) {
+// beside and records that it started and finished. The plain writes to
+// flags are read after AnalyzeContext returns, so the race detector flags
+// any return path that does not join every estimation.
+func slowSens(flags *sensFlags, before func()) func(*trace.Trace, *trace.Instance, sens.Config) (*sens.Amplification, sens.Stats) {
 	return func(t *trace.Trace, inst *trace.Instance, cfg sens.Config) (*sens.Amplification, sens.Stats) {
+		flags.started[inst.Sec] = true
 		if before != nil {
 			before()
 		}
 		time.Sleep(20 * time.Millisecond)
-		*finished = true
+		flags.finished[inst.Sec] = true
 		return sens.Analyze(t, inst, cfg)
 	}
 }
 
 // TestSensitivityJoinedOnCancel: a cancelled analysis returns only after
-// the section's sensitivity goroutine has finished.
+// every sensitivity goroutine it started has finished.
 func TestSensitivityJoinedOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var finished bool
-	defer SetSensitivity(slowSens(&finished, cancel))()
+	var flags sensFlags
+	defer SetSensitivity(slowSens(&flags, cancel))()
 
 	_, err := NewAnalyzer(DefaultConfig()).AnalyzeContext(ctx, testprog.Pipeline())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("AnalyzeContext = %v, want context.Canceled", err)
 	}
-	if !finished {
-		t.Error("AnalyzeContext returned before its sensitivity goroutine finished")
+	if !flags.joined() {
+		t.Errorf("AnalyzeContext returned before its sensitivity goroutines finished: %+v", flags)
 	}
 }
 
 // TestSensitivityJoinedOnInjectorError: a failing SectionInjector fails
-// the analysis only after the section's sensitivity goroutine finished.
+// the analysis only after every sensitivity goroutine it started finished.
 func TestSensitivityJoinedOnInjectorError(t *testing.T) {
-	var finished bool
-	defer SetSensitivity(slowSens(&finished, nil))()
+	var flags sensFlags
+	defer SetSensitivity(slowSens(&flags, nil))()
 	cfg := DefaultConfig()
 	boom := errors.New("injector down")
 	cfg.SectionInjector = failingInjector{boom}
@@ -65,8 +76,8 @@ func TestSensitivityJoinedOnInjectorError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Analyze = %v, want the injector's error", err)
 	}
-	if !finished {
-		t.Error("Analyze returned before its sensitivity goroutine finished")
+	if !flags.joined() {
+		t.Errorf("Analyze returned before its sensitivity goroutines finished: %+v", flags)
 	}
 }
 

@@ -92,8 +92,9 @@ func (s *Stats) Add(other Stats) {
 // Injector runs experiments against one recorded trace.
 type Injector struct {
 	T *trace.Trace
-	// Workers is the number of parallel experiment goroutines;
-	// 0 means GOMAXPROCS.
+	// Workers is the number of contiguous chunks a campaign is cut into,
+	// and the slots of its private pool when Pool is nil; 0 means
+	// GOMAXPROCS.
 	Workers int
 	// NoBatch disables the lockstep batch tier: dense same-dyn experiment
 	// groups then run one scalar fork each instead of sharing a vm.Batch.
@@ -105,6 +106,11 @@ type Injector struct {
 	// test seam: chaos tests panic from it to exercise the supervision
 	// path. Production leaves it nil.
 	PanicHook func(class, attempt int)
+	// Pool, when non-nil, is the set of worker slots the campaign's chunks
+	// run on, shared with the other campaigns of one analysis; nil runs
+	// them on a private pool of Workers slots. Either way the campaign is
+	// cut into the same Workers chunks.
+	Pool *Pool
 
 	mu           sync.Mutex
 	poisoned     []Poison
@@ -340,6 +346,7 @@ func (inj *Injector) RunSectionResume(ctx context.Context, inst *trace.Instance,
 		roles:    newRoles(inst),
 		inPlace:  !coRun,
 		cleanEnd: inst.Exit.Dyn,
+		rank:     sectionRank(inst),
 		hooks:    hooks,
 	}
 	if coRun {
@@ -399,7 +406,9 @@ type experiment struct {
 	// accounted SimInstrs = cleanEnd − its checkpoint, exactly what a
 	// scalar run of the proven-masked flip would have cost.
 	cleanEnd uint64
-	hooks    CampaignHooks
+	// rank orders the campaign's chunks in a pool (sectionRank).
+	rank  uint64
+	hooks CampaignHooks
 }
 
 // ShardRange restricts a campaign to a contiguous slice of the canonical
@@ -547,14 +556,15 @@ func (inj *Injector) elidePass(classes []*sites.Class, order []int, exp *experim
 	return rest, stats
 }
 
-// runAll distributes one experiment per class over the worker pool. Each
-// worker checks ctx between experiments, so a cancelled campaign stops
-// within one in-flight experiment per worker. Stats count only the
+// runAll distributes one experiment per class over the worker slots. Each
+// chunk checks ctx between experiments, so a cancelled campaign stops
+// within one in-flight experiment per chunk. Stats count only the
 // experiments actually run.
 //
-// The engine sorts the pilots by dynamic index, hands each worker one
-// contiguous dyn range, and replays the clean execution once per range
-// behind a rolling cursor.
+// The engine sorts the pilots by dynamic index, cuts them into one
+// contiguous dyn range per worker, and replays the clean execution once
+// per range behind a rolling cursor. The ranges run on inj.Pool's slots,
+// or on a private pool when the injector has none.
 func (inj *Injector) runAll(ctx context.Context, classes []*sites.Class, exp experiment) ([]metrics.Outcome, Stats) {
 	outcomes := make([]metrics.Outcome, len(classes))
 	if len(classes) == 0 {
@@ -562,7 +572,7 @@ func (inj *Injector) runAll(ctx context.Context, classes []*sites.Class, exp exp
 	}
 
 	// Dyn-sorted experiment order, contiguously partitioned so each
-	// worker's cursor only ever moves forward. The shard range (if any)
+	// chunk's cursor only ever moves forward. The shard range (if any)
 	// selects positions of the canonical order first; classes recovered
 	// from a WAL are then filtered out: the remainder is still dyn-sorted,
 	// so the contiguous-range invariant survives both sharding and resume.
@@ -576,18 +586,19 @@ func (inj *Injector) runAll(ctx context.Context, classes []*sites.Class, exp exp
 	if nw > len(order) {
 		nw = len(order)
 	}
-	statsPer := make([]Stats, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := w * len(order) / nw
-		hi := (w + 1) * len(order) / nw
-		wg.Add(1)
-		go func(w int, chunk []int) {
-			defer wg.Done()
-			statsPer[w] = inj.runRange(ctx, classes, chunk, exp, outcomes)
-		}(w, order[lo:hi])
+	pool := inj.Pool
+	if pool == nil {
+		pool = NewPool(nw)
 	}
-	wg.Wait()
+	statsPer := make([]Stats, nw)
+	tasks := make([]func(*engine), nw)
+	for w := range tasks {
+		chunk := order[w*len(order)/nw : (w+1)*len(order)/nw]
+		tasks[w] = func(e *engine) {
+			statsPer[w] = inj.runRange(ctx, e, classes, chunk, exp, outcomes)
+		}
+	}
+	pool.run(exp.rank, tasks)
 
 	stats := elided
 	for _, s := range statsPer {
@@ -596,10 +607,10 @@ func (inj *Injector) runAll(ctx context.Context, classes []*sites.Class, exp exp
 	return outcomes, stats
 }
 
-// runRange runs one worker's contiguous dyn-sorted chunk of experiments.
-// The cursor machine advances through the clean execution exactly once;
-// every experiment forks off it with a journal and is reverted by undoing
-// the words it wrote.
+// runRange runs one contiguous dyn-sorted chunk of experiments on a slot's
+// engine. The cursor machine advances through the clean execution exactly
+// once; every experiment forks off it with a journal and is reverted by
+// undoing the words it wrote.
 //
 // Each experiment attempt runs under panic supervision: a panic discards
 // the (possibly wedged) cursor and fork machines, rebuilds both from the
@@ -609,18 +620,22 @@ func (inj *Injector) runAll(ctx context.Context, classes []*sites.Class, exp exp
 // cursor position before the first attempt, so a retried-but-successful
 // experiment reports exactly the Stats a panic-free run would — retries
 // change real engine work, never the accounting.
-func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk []int, exp experiment, outcomes []metrics.Outcome) Stats {
+func (inj *Injector) runRange(ctx context.Context, e *engine, classes []*sites.Class, chunk []int, exp experiment, outcomes []metrics.Outcome) Stats {
 	t := inj.T
 	var stats Stats
 
 	seed, _ := t.ReplaySeed(classes[chunk[0]].Pilot())
-	cur := seed.Clone()    // rolling clean cursor, only ever advances
-	em := cur.Clone()      // experiment machine, forked from the cursor
-	batch := new(vm.Batch) // lockstep replicas, re-forked off em per group
-	var cd *cursorDiff     // the section verdict's diff set D, kept in step with cur
+	e.seed(seed)
+	cur := e.cur       // rolling clean cursor, only ever advances
+	em := e.em         // experiment machine, forked from the cursor
+	batch := e.batch   // lockstep replicas, re-forked off em per group
+	var cd *cursorDiff // the section verdict's diff set D, kept in step with cur
 	if exp.roles != nil {
 		cd = exp.roles.cursor(cur)
 	}
+	// A rebuild replaces the machines; the slot keeps whatever the chunk
+	// ends with.
+	defer func() { e.cur, e.em, e.batch = cur, em, batch }()
 
 	// advance moves the shared clean prefix forward to dyn once, mirroring
 	// the delta into the experiment machine and into D.

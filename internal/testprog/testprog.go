@@ -35,14 +35,22 @@ const (
 
 // Pipeline builds the two-section fixture. Every buffer is declared live so
 // stray writes are caught.
-func Pipeline() *spec.Program { return build(false) }
+func Pipeline() *spec.Program { return build(false, false) }
 
 // PipelineModified is Pipeline with a semantics-preserving extra
 // instruction in the "square" section, for testing section reuse: scale's
 // identity is unchanged, square's is not.
-func PipelineModified() *spec.Program { return build(true) }
+func PipelineModified() *spec.Program { return build(true, false) }
 
-func build(modifySquare bool) *spec.Program {
+// Twice is Pipeline with scale run twice in a row on the same input, so
+// its two instances share a reuse key.
+func Twice() *spec.Program {
+	p := build(false, true)
+	p.Name = "testtwice"
+	return p
+}
+
+func build(modifySquare bool, scaleTwice bool) *spec.Program {
 	p := prog.New()
 
 	main := prog.NewFunc("main")
@@ -50,6 +58,11 @@ func build(modifySquare bool) *spec.Program {
 	main.SecBeg(0)
 	main.Call("scale")
 	main.SecEnd(0)
+	if scaleTwice {
+		main.SecBeg(0)
+		main.Call("scale")
+		main.SecEnd(0)
+	}
 	main.SecBeg(1)
 	main.Call("square")
 	main.SecEnd(1)
@@ -92,6 +105,10 @@ func build(modifySquare bool) *spec.Program {
 	c := spec.Buffer{Name: "c", Addr: AddrC, Len: 1, Kind: spec.Float}
 	live := []spec.Buffer{x, y, z, c}
 
+	scaleIO := []spec.InstanceIO{{Inputs: []spec.Buffer{x}, Outputs: []spec.Buffer{y}, Live: live}}
+	if scaleTwice {
+		scaleIO = append(scaleIO, scaleIO[0])
+	}
 	return &spec.Program{
 		Name:     "testpipe",
 		Version:  "none",
@@ -102,9 +119,7 @@ func build(modifySquare bool) *spec.Program {
 			m.Mem[AddrC] = math.Float64bits(C)
 		},
 		Sections: []spec.Section{
-			{ID: 0, Name: "scale", Instances: []spec.InstanceIO{
-				{Inputs: []spec.Buffer{x}, Outputs: []spec.Buffer{y}, Live: live},
-			}},
+			{ID: 0, Name: "scale", Instances: scaleIO},
 			{ID: 1, Name: "square", Instances: []spec.InstanceIO{
 				{Inputs: []spec.Buffer{y, c}, Outputs: []spec.Buffer{z}, Live: live},
 			}},
