@@ -104,7 +104,7 @@ type Config struct {
 	// the program is wiped and the log starts fresh. Ignored when WALDir
 	// is empty.
 	Resume bool
-	// FaultFS, when non-nil, routes all campaign WAL and manifest I/O
+	// FaultFS, when non-nil, routes all campaign WAL I/O
 	// through the given filesystem seam so chaos tests can inject write
 	// faults; nil uses the real filesystem. Excluded from the campaign
 	// fingerprint: it changes durability, never outcomes.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -18,40 +17,44 @@ import (
 	"fastflip/internal/trace"
 )
 
-// manifestName and lockName are the fixed files inside a campaign
-// directory; everything else in it is a per-section WAL segment.
-const (
-	manifestName = "campaign.manifest"
-	lockName     = "campaign.lock"
-)
+// lockName is the fixed file inside a campaign directory; everything else
+// in it is a per-section WAL segment.
+const lockName = "campaign.lock"
+
+// campaignVersion seeds the campaign fingerprint. Bump it when a change
+// makes segments written under the old value unfit to resume: the sweep
+// then removes them. It is 2 because it continues the version of the
+// campaign manifest that once seeded it, so segments and coord leases
+// written before the manifest was removed keep their fingerprints.
+const campaignVersion = 2
 
 // campaign is the write-ahead state of one Analyze run: a directory of
-// per-section WAL segments plus a versioned manifest, exclusively locked
-// for the duration of the analysis. A nil *campaign (or one that failed to
-// acquire its lock) degrades every method to a no-op, so AnalyzeContext
-// can call through unconditionally.
+// per-section WAL segments, exclusively locked for the duration of the
+// analysis. Each segment's header names its section and campaign, and its
+// seal says whether it is complete, so the segments are the whole resume
+// state. A nil *campaign (or one that failed to acquire its lock)
+// degrades every method to a no-op, so AnalyzeContext can call through
+// unconditionally.
 type campaign struct {
-	dir          string
-	manifestPath string
-	manifest     *store.Manifest
-	lock         *os.File
-	walFP        uint64 // per-segment header fingerprint (trace ⊕ config)
-	resume       bool
-	disabled     bool
-	fs           errfs.FS           // seam for all WAL/manifest writes
-	retry        inject.RetryPolicy // backoff for transient write failures
+	dir      string
+	lock     *os.File
+	walFP    uint64 // per-segment header fingerprint (trace ⊕ config)
+	resume   bool
+	disabled bool
+	fs       errfs.FS           // seam for all WAL I/O
+	retry    inject.RetryPolicy // backoff for transient write failures
 
 	mu       sync.Mutex
 	notes    []string
 	degraded bool // latched when any section's segment degraded
 }
 
-// openCampaign prepares the campaign directory for p under walDir. With
-// resume set, a matching manifest keeps its section segments; a missing or
-// mismatched manifest (different trace, config, or format version) wipes
-// them. Without resume, the directory is always wiped. A held lock —
-// another process or job is running the same campaign — disables the WAL
-// for this run instead of failing the analysis.
+// openCampaign prepares the campaign directory for p under walDir with
+// one inject.SweepSegments: with resume set it keeps the segments whose
+// header carries this campaign's fingerprint (trace and config), without
+// it none. A held lock — another process or job is running the same
+// campaign — disables the WAL for this run instead of failing the
+// analysis.
 func openCampaign(walDir string, p *spec.Program, t *trace.Trace, cfg Config) (*campaign, error) {
 	fsys := cfg.FaultFS
 	if fsys == nil {
@@ -61,15 +64,12 @@ func openCampaign(walDir string, p *spec.Program, t *trace.Trace, cfg Config) (*
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: wal campaign: %w", err)
 	}
-	traceFP := t.Fingerprint()
-	configFP := configFingerprint(cfg)
 	c := &campaign{
-		dir:          dir,
-		manifestPath: filepath.Join(dir, manifestName),
-		walFP:        mix.Fold(traceFP, configFP),
-		resume:       cfg.Resume,
-		fs:           fsys,
-		retry:        cfg.WALRetry,
+		dir:    dir,
+		walFP:  mix.Fold(t.Fingerprint(), configFingerprint(cfg)),
+		resume: cfg.Resume,
+		fs:     fsys,
+		retry:  cfg.WALRetry,
 	}
 
 	// The lock is flock-based so it dies with the process: a SIGKILLed
@@ -86,28 +86,13 @@ func openCampaign(walDir string, p *spec.Program, t *trace.Trace, cfg Config) (*
 	}
 	c.lock = lf
 
-	if cfg.Resume {
-		switch m, err := store.LoadManifest(c.manifestPath); {
-		case err == nil && m.Matches(traceFP, configFP):
-			c.manifest = m
-		case err == nil:
-			c.note(fmt.Sprintf("campaign %s: manifest belongs to a different trace or config; starting fresh", dir))
-		case !errors.Is(err, os.ErrNotExist):
-			c.note(fmt.Sprintf("campaign %s: discarding unreadable manifest (%v)", dir, err))
-		}
+	n, err := inject.SweepSegments(fsys, dir, c.walFP, cfg.Resume)
+	if err != nil {
+		c.closeCampaign()
+		return nil, err
 	}
-	if c.manifest == nil {
-		// Fresh campaign: stale segments from any previous identity must
-		// not be picked up by per-section opens.
-		if err := c.wipeSegments(); err != nil {
-			c.closeCampaign()
-			return nil, err
-		}
-		c.manifest = store.NewManifest(p.Name, traceFP, configFP)
-		if err := c.manifest.SaveFS(c.fs, c.manifestPath); err != nil {
-			c.closeCampaign()
-			return nil, err
-		}
+	if cfg.Resume && n > 0 {
+		c.note(fmt.Sprintf("campaign %s: removed %d segment(s) of a different trace or config", dir, n))
 	}
 	return c, nil
 }
@@ -130,33 +115,7 @@ func (c *campaign) openSection(key store.Key) (*inject.SectionWAL, *inject.Recov
 	if n := len(rec.Poisoned); n > 0 {
 		c.note(fmt.Sprintf("section %s: %d poison record(s) from a previous run; their classes will be re-executed", key, n))
 	}
-	c.setStatus(key, store.SectionStatus{Experiments: len(rec.Records), Sealed: rec.Sealed})
 	return w, rec
-}
-
-// markSealed records a finished section in the manifest.
-func (c *campaign) markSealed(key store.Key, experiments int) {
-	if c == nil || c.disabled {
-		return
-	}
-	c.setStatus(key, store.SectionStatus{Experiments: experiments, Sealed: true})
-}
-
-// markPartial records an interrupted section in the manifest.
-func (c *campaign) markPartial(key store.Key, experiments int) {
-	if c == nil || c.disabled {
-		return
-	}
-	c.setStatus(key, store.SectionStatus{Experiments: experiments, Sealed: false})
-}
-
-func (c *campaign) setStatus(key store.Key, st store.SectionStatus) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.manifest.Sections[key] = st
-	if err := c.manifest.SaveFS(c.fs, c.manifestPath); err != nil {
-		c.notes = append(c.notes, fmt.Sprintf("campaign manifest: %v", err))
-	}
 }
 
 // setDegraded latches the campaign's degraded flag after key's segment
@@ -213,27 +172,6 @@ func (c *campaign) closeCampaign() {
 	c.lock = nil
 }
 
-// wipeSegments removes every WAL segment and the manifest from the
-// campaign directory (the lock file stays: it is held).
-func (c *campaign) wipeSegments() error {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return fmt.Errorf("core: wal campaign: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if name == lockName {
-			continue
-		}
-		if name == manifestName || strings.HasSuffix(name, ".wal") {
-			if err := os.Remove(filepath.Join(c.dir, name)); err != nil {
-				return fmt.Errorf("core: wal campaign: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // configFingerprint hashes the configuration knobs that change experiment
 // outcomes, class enumeration, or cost accounting — the parts a WAL
 // segment's contents depend on. Knobs that only change scheduling
@@ -246,7 +184,7 @@ func configFingerprint(cfg Config) uint64 {
 		}
 		return 0
 	}
-	acc := mix.Splitmix64(uint64(store.ManifestVersion))
+	acc := mix.Splitmix64(campaignVersion)
 	acc = mix.Fold(acc, b(cfg.Prune))
 	acc = mix.Fold(acc, uint64(cfg.BurstWidth))
 	acc = mix.Fold(acc, b(cfg.CoRunBaseline))

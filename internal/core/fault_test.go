@@ -75,7 +75,10 @@ func TestAnalyzeCompletesOnDegradedWAL(t *testing.T) {
 
 	cfgF := cfg
 	cfgF.WALDir = t.TempDir()
-	cfgF.FaultFS = errfs.Wrap(nil, errfs.FailFrom(errfs.OpWrite, 8, syscall.ENOSPC))
+	// Write 1 is the first segment's header and write 2, as a rule, the
+	// second's (it races the first appends), so the disk fills at about
+	// the first section's fourth append.
+	cfgF.FaultFS = errfs.Wrap(nil, errfs.FailFrom(errfs.OpWrite, 6, syscall.ENOSPC))
 	cfgF.WALRetry = faultRetry()
 	a := NewAnalyzer(cfgF)
 	var sawDegraded bool
@@ -135,7 +138,8 @@ func TestResumeAfterDegradedRun(t *testing.T) {
 	dir := t.TempDir()
 	cfg1 := cfg
 	cfg1.WALDir = dir
-	cfg1.FaultFS = errfs.Wrap(nil, errfs.FailFrom(errfs.OpWrite, 10, syscall.ENOSPC))
+	// Past the segment headers: about the first section's sixth append.
+	cfg1.FaultFS = errfs.Wrap(nil, errfs.FailFrom(errfs.OpWrite, 8, syscall.ENOSPC))
 	cfg1.WALRetry = faultRetry()
 	a1 := NewAnalyzer(cfg1)
 	r1, err := a1.Analyze(p)

@@ -96,7 +96,7 @@ type sensResult struct {
 // for that commit and then looks the key up, so it is reused exactly as
 // it would be after its twin, and a WAL segment is never open twice. When
 // a commit fails, the section launched behind it is cancelled and joined,
-// its segment marked partial and closed, before the error returns.
+// its segment closed unsealed, before the error returns.
 func (an *analysis) pipeline(ctx context.Context) error {
 	var inFlight []*sectionRun // launched, not yet committed: at most two
 	defer func() { an.abort(inFlight) }()
@@ -292,14 +292,11 @@ func (an *analysis) commit(ctx context.Context, s *sectionRun) error {
 		}
 		if wal.Degraded() {
 			// The segment latched off after a persistent write failure.
-			// This section's results live only in memory — the manifest
-			// keeps it partial so a resume re-injects the unlogged
-			// remainder — and the next section re-arms the log with a
-			// fresh segment.
+			// This section's results live only in memory — the segment's
+			// missing seal keeps it partial, so a resume re-injects the
+			// unlogged remainder — and the next section re-arms the log
+			// with a fresh segment.
 			cam.setDegraded(key)
-			cam.markPartial(key, wal.Count())
-		} else {
-			cam.markSealed(key, wal.Count())
 		}
 		wal.Close()
 		s.wal = nil
@@ -342,9 +339,9 @@ func (an *analysis) commit(ctx context.Context, s *sectionRun) error {
 
 // abort stops the sections launched but not committed, on every return
 // path of the pipeline: their campaigns are cancelled and joined, their
-// segments marked partial and closed, and their sensitivity estimations
-// joined. The first estimation panic among them is re-raised once all
-// are joined.
+// segments closed unsealed, and their sensitivity estimations joined.
+// The first estimation panic among them is re-raised once all are
+// joined.
 func (an *analysis) abort(runs []*sectionRun) {
 	for _, s := range runs {
 		if s.cancel != nil {
@@ -357,7 +354,6 @@ func (an *analysis) abort(runs []*sectionRun) {
 			<-s.campaign.done
 		}
 		if s.wal != nil {
-			an.cam.markPartial(s.key, s.wal.Count())
 			s.wal.Close()
 			s.wal = nil
 		}

@@ -16,7 +16,6 @@ import (
 	"fastflip/internal/errfs"
 	"fastflip/internal/inject"
 	"fastflip/internal/metrics"
-	"fastflip/internal/store"
 	"fastflip/internal/testprog"
 )
 
@@ -151,20 +150,24 @@ func TestPipelineStopsMidFlight(t *testing.T) {
 				t.Fatalf("AnalyzeContext = %v, want %v", err, wantErr)
 			}
 
-			m, err := store.LoadManifest(filepath.Join(dir, sanitizeName(p.Name), manifestName))
+			segs, err := filepath.Glob(filepath.Join(dir, sanitizeName(p.Name), "*.wal"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(m.Sections) != 2 {
-				t.Fatalf("manifest names %d sections, want 2", len(m.Sections))
+			if len(segs) != 2 {
+				t.Fatalf("campaign holds %d segments, want 2", len(segs))
 			}
 			k, err := SectionKey(r0.Trace, r0.Trace.Instances[0], cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for key, st := range m.Sections {
-				if st.Sealed || (key == k && st.Experiments < 2) {
-					t.Errorf("section %s: %+v, want partial (instance 0 with its two logged experiments)", key, st)
+			for _, seg := range segs {
+				info, err := inject.InspectSegment(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Sealed || (info.Key == k && info.Experiments < 2) {
+					t.Errorf("segment %s: %+v, want partial (instance 0 with its two logged experiments)", filepath.Base(seg), info)
 				}
 			}
 			if open := openSegments(t, dir); len(open) != 0 {

@@ -111,7 +111,6 @@ func sequential(an *analysis, ctx context.Context) error {
 		})
 		if err != nil {
 			if wal != nil {
-				cam.markPartial(key, wal.Count())
 				wal.Close()
 			}
 			return err
@@ -126,7 +125,6 @@ func sequential(an *analysis, ctx context.Context) error {
 		r.FFInject.Add(stats)
 		if err := ctx.Err(); err != nil {
 			if wal != nil {
-				cam.markPartial(key, wal.Count())
 				wal.Close()
 			}
 			return err
@@ -168,9 +166,6 @@ func sequential(an *analysis, ctx context.Context) error {
 			}
 			if wal.Degraded() {
 				cam.setDegraded(key)
-				cam.markPartial(key, wal.Count())
-			} else {
-				cam.markSealed(key, wal.Count())
 			}
 			wal.Close()
 		}

@@ -315,56 +315,170 @@ func TestResumeFFTSmallAfterSIGKILL(t *testing.T) {
 	}
 }
 
-// TestV1ManifestStartsFreshCampaign: a campaign directory whose manifest
-// was written by ManifestVersion 1 (bare gob, before the record frame)
-// is not resumed: the run notes "discarding unreadable manifest", starts
-// a fresh campaign that recovers nothing, writes a current manifest, and
-// reports the same summary as a run without a WAL.
-func TestV1ManifestStartsFreshCampaign(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 1
+// requireFullResume resumes the campaign under walDir with cfg and
+// requires every experiment recovered from its segments, no manifest
+// left beside them, and the summary of a run without a WAL.
+func requireFullResume(t *testing.T, cfg Config, walDir string) {
+	t.Helper()
 	p := testprog.Pipeline()
 	rRef, err := NewAnalyzer(cfg).Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumRef := rRef.Summarize(cfg.Epsilon, nil)
-
-	dir := t.TempDir()
-	cfg.WALDir = dir
-	if _, err := NewAnalyzer(cfg).Analyze(p); err != nil {
-		t.Fatal(err)
-	}
-	old, err := os.ReadFile(filepath.Join("..", "store", "testdata", "v1.manifest"))
+	cfg.WALDir, cfg.Resume = walDir, true
+	r, err := NewAnalyzer(cfg).Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, sanitizeName(p.Name), manifestName)
-	if err := os.WriteFile(path, old, 0o644); err != nil {
+	if got, want := r.ResumedExperiments(), rRef.FFInject.Experiments; got != want {
+		t.Errorf("resumed %d experiments, want all %d; notes: %v", got, want, r.WALNotes)
+	}
+	manifest := filepath.Join(walDir, sanitizeName(p.Name), "campaign.manifest")
+	if _, err := os.Stat(manifest); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the old manifest outlived the resume: %v", err)
+	}
+	sumRef, sum := rRef.Summarize(cfg.Epsilon, nil), r.Summarize(cfg.Epsilon, nil)
+	requireRun(t, sum, AllowResume)
+	sumRef.Telemetry, sum.Telemetry = Telemetry{}, Telemetry{}
+	if !reflect.DeepEqual(sumRef, sum) {
+		t.Errorf("resumed summary differs from a run without a WAL:\nref:     %+v\nresumed: %+v", sumRef, sum)
+	}
+}
+
+// TestResumeDeletesLeftoverManifest adds the manifest older builds kept
+// to a completed campaign directory: one in the first format (bare gob)
+// and one in the last (a record frame). The segments alone decide the
+// resume: the run recovers every experiment and deletes the file.
+func TestResumeDeletesLeftoverManifest(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	for name, src := range map[string]string{
+		"v1":      filepath.Join("testdata", "v1.manifest"),
+		"current": filepath.Join("testdata", "parent-campaign", "campaign.manifest"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := cfg
+			c.WALDir = dir
+			p := testprog.Pipeline()
+			if _, err := NewAnalyzer(c).Analyze(p); err != nil {
+				t.Fatal(err)
+			}
+			old, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, sanitizeName(p.Name), "campaign.manifest"), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			requireFullResume(t, cfg, dir)
+		})
+	}
+}
+
+// TestResumeParentCampaign resumes testdata/parent-campaign, a completed
+// campaign of testprog.Pipeline (DefaultConfig, one worker) written, with
+// its manifest, by the build before the manifest was removed. Every
+// experiment must be recovered: the segment fingerprints are unchanged.
+func TestResumeParentCampaign(t *testing.T) {
+	src := filepath.Join("testdata", "parent-campaign")
+	dst := filepath.Join(t.TempDir(), sanitizeName(testprog.Pipeline().Name))
+	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	requireFullResume(t, cfg, filepath.Dir(dst))
+}
 
+// TestResumeSweepsChangedConfig resumes a completed campaign under another
+// sensitivity seed, a knob that changes outcomes: no segment carries the
+// new fingerprint, so the sweep removes them all with a note, nothing is
+// recovered, and only the new campaign's segments remain.
+func TestResumeSweepsChangedConfig(t *testing.T) {
+	p := testprog.Pipeline()
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.WALDir = t.TempDir()
+	if _, err := NewAnalyzer(cfg).Analyze(p); err != nil {
+		t.Fatal(err)
+	}
+	glob := filepath.Join(cfg.WALDir, sanitizeName(p.Name), "*.wal")
+	old, err := filepath.Glob(glob)
+	if err != nil || len(old) == 0 {
+		t.Fatalf("the first campaign left no segments (%v)", err)
+	}
+
+	cfg.Sens.Seed++
 	cfg.Resume = true
 	r, err := NewAnalyzer(cfg).Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := r.ResumedExperiments(); got != 0 {
+		t.Errorf("resumed %d experiments under another seed", got)
+	}
+	note := fmt.Sprintf("removed %d segment(s) of a different trace or config", len(old))
 	found := false
 	for _, n := range r.WALNotes {
-		found = found || strings.Contains(n, "discarding unreadable manifest")
+		found = found || strings.Contains(n, note)
 	}
 	if !found {
-		t.Errorf("no note about the v1 manifest; notes: %v", r.WALNotes)
+		t.Errorf("no note %q; notes: %v", note, r.WALNotes)
 	}
-	if got := r.ResumedExperiments(); got != 0 {
-		t.Errorf("resumed %d experiments past an unreadable manifest", got)
+	fp := mix.Fold(r.Trace.Fingerprint(), configFingerprint(cfg))
+	segs, err := filepath.Glob(glob)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("the new campaign left no segments (%v)", err)
 	}
-	if _, err := store.LoadManifest(path); err != nil {
-		t.Errorf("fresh campaign left no readable manifest: %v", err)
+	for _, seg := range segs {
+		if info, err := inject.InspectSegment(seg); err != nil || info.Fingerprint != fp || !info.Sealed {
+			t.Errorf("segment %s: %+v (%v), want a sealed segment of the new campaign", filepath.Base(seg), info, err)
+		}
 	}
-	sum := r.Summarize(cfg.Epsilon, nil)
-	sumRef.Telemetry, sum.Telemetry = Telemetry{}, Telemetry{}
-	if !reflect.DeepEqual(sumRef, sum) {
-		t.Error("summary after discarding the manifest differs from a run without a WAL")
+}
+
+// TestCampaignSweepsOrphanedTemps plants the temporary file that a crash
+// between CreateTemp and Rename leaves when a segment header is written.
+// Opening the campaign, with or without resume, removes it.
+func TestCampaignSweepsOrphanedTemps(t *testing.T) {
+	p := testprog.Pipeline()
+	cfg := DefaultConfig()
+	tr, err := trace.RecordWith(p, trace.Options{CheckpointInterval: cfg.CheckpointInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resume := range []bool{false, true} {
+		dir := t.TempDir()
+		camDir := filepath.Join(dir, sanitizeName(p.Name))
+		if err := os.MkdirAll(camDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		tmp := filepath.Join(camDir, "."+filepath.Base(inject.SegmentPath(camDir, store.Key{1}))+"-4242.tmp")
+		if err := os.WriteFile(tmp, []byte("FFWAL"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Resume = resume
+		c, err := openCampaign(dir, p, tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.closeCampaign()
+		if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("resume=%v: orphaned temp file survived opening the campaign: %v", resume, err)
+		}
 	}
 }

@@ -7,9 +7,10 @@
 //
 // The interface is deliberately narrow: exactly the operations the WAL
 // and the record files perform (open/write/sync plus the rename-based
-// atomic-replace protocol of ReplaceFile and recovery's read/truncate). Anything the
-// persistence layer does not do has no seam, so a fault plan cannot
-// describe an impossible failure.
+// atomic-replace protocol of ReplaceFile, recovery's read/truncate, and
+// the campaign directory sweep's listing, header read and remove).
+// Anything the persistence layer does not do has no seam, so a fault
+// plan cannot describe an impossible failure.
 package errfs
 
 import (
@@ -19,20 +20,22 @@ import (
 	"sync"
 )
 
-// File is the writable-file surface the persistence layer uses.
+// File is the file surface the persistence layer uses.
 type File interface {
+	Read(p []byte) (int, error)
 	Write(p []byte) (int, error)
 	Sync() error
 	Close() error
 	Name() string
 }
 
-// FS abstracts the filesystem operations behind WAL segments, campaign
-// manifests, and store snapshots.
+// FS abstracts the filesystem operations behind WAL segments and store
+// snapshots.
 type FS interface {
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
 	ReadFile(name string) ([]byte, error)
+	ReadDir(name string) ([]fs.DirEntry, error)
 	Rename(oldpath, newpath string) error
 	Truncate(name string, size int64) error
 	Remove(name string) error
@@ -51,6 +54,7 @@ func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 }
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
@@ -247,6 +251,14 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	return f.base.ReadFile(name)
 }
 
+// ReadDir counts as a read: listing a directory is one.
+func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) {
+	if ft := f.check(OpRead, name); ft != nil {
+		return nil, &fs.PathError{Op: "readdir", Path: name, Err: ft.Err}
+	}
+	return f.base.ReadDir(name)
+}
+
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if ft := f.check(OpRename, oldpath); ft != nil {
 		return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: ft.Err}
@@ -275,12 +287,19 @@ func (f *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
 	return f.base.MkdirAll(path, perm)
 }
 
-// faultFile routes Write and Sync back through the plan; Close and Name
-// always pass through (a close that fails would leak the descriptor in
-// the wrapped layer, and no caller branches on it).
+// faultFile routes Read, Write and Sync back through the plan; Close and
+// Name always pass through (a close that fails would leak the descriptor
+// in the wrapped layer, and no caller branches on it).
 type faultFile struct {
 	fs *FaultFS
 	f  File
+}
+
+func (ff *faultFile) Read(p []byte) (int, error) {
+	if ft := ff.fs.check(OpRead, ff.f.Name()); ft != nil {
+		return 0, &fs.PathError{Op: "read", Path: ff.f.Name(), Err: ft.Err}
+	}
+	return ff.f.Read(p)
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {

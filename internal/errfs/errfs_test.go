@@ -100,6 +100,9 @@ func TestSyncAndMetaFaults(t *testing.T) {
 	if _, err := ffs.ReadFile(filepath.Join(dir, "x")); !errors.Is(err, syscall.EIO) {
 		t.Errorf("read = %v", err)
 	}
+	if _, err := ffs.ReadDir(dir); !errors.Is(err, syscall.EIO) {
+		t.Errorf("readdir = %v", err)
+	}
 	if err := ffs.Rename("a", "b"); !errors.Is(err, syscall.EIO) {
 		t.Errorf("rename = %v", err)
 	}
@@ -122,6 +125,10 @@ func TestSyncAndMetaFaults(t *testing.T) {
 	defer f.Close()
 	if err := f.Sync(); !errors.Is(err, syscall.EIO) {
 		t.Errorf("sync = %v", err)
+	}
+	ffs.SetPlan(FailNth(OpRead, 1, syscall.EIO))
+	if _, err := f.Read(make([]byte, 1)); !errors.Is(err, syscall.EIO) {
+		t.Errorf("file read = %v", err)
 	}
 	if err := f.Sync(); err != nil {
 		t.Errorf("second sync = %v", err)

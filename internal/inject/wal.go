@@ -46,6 +46,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"fastflip/internal/errfs"
@@ -186,6 +187,67 @@ func SegmentPath(dir string, key [32]byte) string {
 	return filepath.Join(dir, fmt.Sprintf("%x.wal", key))
 }
 
+// oldLedger is the campaign manifest that older builds kept beside the
+// segments. Nothing reads it: the segments are the whole resume state.
+const oldLedger = "campaign.manifest"
+
+// SweepSegments readies a campaign directory before its sections open;
+// the caller must hold the campaign's lock. Without resume it removes
+// every segment. With resume it removes only the segments whose header
+// does not carry fingerprint in this format version, so what remains is
+// exactly what this campaign's sections may recover. In both modes it
+// removes the temporary files of an errfs.ReplaceFile that a crash cut
+// short, and the manifest of older builds. Files it does not know (the
+// lock) stay. It returns the number of segments removed.
+func SweepSegments(fsys errfs.FS, dir string, fingerprint uint64, resume bool) (int, error) {
+	if fsys == nil {
+		fsys = errfs.OS()
+	}
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return 0, fmt.Errorf("inject: wal sweep: %w", err)
+	}
+	removed := 0
+	for _, e := range entries {
+		name, path := e.Name(), filepath.Join(dir, e.Name())
+		segment := strings.HasSuffix(name, ".wal")
+		switch {
+		case segment:
+			if resume && !foreignSegment(fsys, path, fingerprint) {
+				continue
+			}
+		case name == oldLedger, strings.HasPrefix(name, ".") && strings.HasSuffix(name, ".tmp"):
+		default:
+			continue
+		}
+		if err := fsys.Remove(path); err != nil {
+			return removed, fmt.Errorf("inject: wal sweep: %w", err)
+		}
+		if segment {
+			removed++
+		}
+	}
+	return removed, nil
+}
+
+// foreignSegment reports whether the segment at path provably belongs to
+// another campaign: its header is short, from another format version, or
+// carries another fingerprint. A header that cannot be read now is not
+// foreign; recovery judges it when its section opens.
+func foreignSegment(fsys errfs.FS, path string, fingerprint uint64) bool {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var hdr [walHeaderSize]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+	}
+	return [len(walMagic)]byte(hdr[:len(walMagic)]) != walMagic ||
+		binary.LittleEndian.Uint64(hdr[len(walMagic)+32:]) != fingerprint
+}
+
 // OpenSectionWAL opens (or creates) the WAL segment for the section with
 // the given content key. With resume set, an existing valid segment is
 // recovered first and appends continue behind the recovered records; the
@@ -317,14 +379,6 @@ func (w *SectionWAL) Seal() error {
 	}
 	w.sealed = true
 	return nil
-}
-
-// Count returns the number of experiment records in the segment
-// (recovered plus appended).
-func (w *SectionWAL) Count() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.count
 }
 
 // Degraded reports whether the segment latched off after a persistent

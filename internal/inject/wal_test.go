@@ -3,6 +3,8 @@ package inject
 import (
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"fastflip/internal/isa"
@@ -281,5 +283,48 @@ func TestWALSealWithoutAmpNotSealed(t *testing.T) {
 	}
 	if len(rec.Records) != 1 {
 		t.Fatalf("records = %d, want 1", len(rec.Records))
+	}
+}
+
+// TestWALSweepSegments: a resume sweep keeps exactly the segments that
+// carry the campaign's fingerprint; a fresh sweep keeps none. Both remove
+// short segments, orphaned ReplaceFile temporaries and an old manifest,
+// and leave unknown files (the lock) alone.
+func TestWALSweepSegments(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		dir := t.TempDir()
+		for i, fp := range []uint64{7, 7, 8} {
+			w, _, err := OpenSectionWAL(dir, walKey(byte(i)), fp, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+		}
+		for _, name := range []string{"short.wal", ".0303.wal-12345.tmp", oldLedger, "campaign.lock"} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := SweepSegments(nil, dir, 7, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantN := []string{"campaign.lock"}, 4
+		if resume {
+			want, wantN = append(want, filepath.Base(SegmentPath(dir, walKey(0))), filepath.Base(SegmentPath(dir, walKey(1)))), 2
+		}
+		if n != wantN {
+			t.Errorf("resume=%v: swept %d segments, want %d", resume, n, wantN)
+		}
+		var got []string
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("resume=%v: directory holds %v, want %v", resume, got, want)
+		}
 	}
 }

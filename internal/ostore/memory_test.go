@@ -43,6 +43,9 @@ func (r *recordingFS) Remove(name string) error             { return r.note("rem
 func (r *recordingFS) MkdirAll(path string, _ fs.FileMode) error {
 	return r.note("mkdir", path)
 }
+func (r *recordingFS) ReadDir(name string) ([]fs.DirEntry, error) {
+	return nil, r.note("readdir", name)
+}
 
 func dirNames(t *testing.T, dir string) []string {
 	t.Helper()

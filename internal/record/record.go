@@ -7,9 +7,9 @@
 //	u32 payload length, u32 CRC-32C (Castagnoli) of the payload, payload
 //
 // little-endian, with a payload of 1..MaxPayload bytes. WAL segments,
-// shard streams, shared-tier segments, the tier's index checkpoint, the
-// campaign manifest and the store file are all sequences of such frames
-// (behind a file-specific header where the format has one).
+// shard streams, shared-tier segments, the tier's index checkpoint and
+// the store file are all sequences of such frames (behind a file-specific
+// header where the format has one).
 //
 // Reading stops at the first frame that does not validate: a length of
 // zero or beyond MaxPayload, a frame that overruns the data, or a

@@ -171,7 +171,8 @@ func TestWALDegradedJobMetric(t *testing.T) {
 	opts := testOptions()
 	opts.WALDir = t.TempDir()
 	opts.ConfigHook = func(cfg *core.Config) {
-		cfg.FaultFS = errfs.Wrap(nil, errfs.FailFrom(errfs.OpWrite, 8, os.ErrPermission))
+		// Past the segment headers, in the first section's appends.
+		cfg.FaultFS = errfs.Wrap(nil, errfs.FailFrom(errfs.OpWrite, 6, os.ErrPermission))
 		cfg.WALRetry = inject.RetryPolicy{Attempts: 2, Base: time.Microsecond, Max: time.Microsecond, Sleep: func(time.Duration) {}}
 	}
 	m := New(opts)

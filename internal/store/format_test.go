@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -94,51 +93,36 @@ func TestStoreFileTornTailFails(t *testing.T) {
 	}
 }
 
-// TestV1ManifestRejected: a manifest written by ManifestVersion 1 (bare
-// gob, no frame) is unreadable, so resume starts a fresh campaign.
-func TestV1ManifestRejected(t *testing.T) {
-	if _, err := LoadManifest(filepath.Join("testdata", "v1.manifest")); err == nil {
-		t.Fatal("v1 manifest loaded")
-	}
-}
-
 // TestReplaceFaultsKeepOldFile fails the sync and the rename of the
-// atomic replace behind the store file and the manifest through errfs:
-// each save returns the error, the old file stays byte-identical, and no
-// temporary file is left behind.
+// atomic replace behind the store file through errfs: the save returns
+// the error, the old file stays byte-identical, and no temporary file is
+// left behind.
 func TestReplaceFaultsKeepOldFile(t *testing.T) {
 	eio := errors.New("injected: EIO")
-	saves := map[string]func(fsys errfs.FS, path string, gen int) error{
-		"store": func(fsys errfs.FS, path string, gen int) error {
-			s := New()
-			s.Put(Key{byte(gen)}, codecSection())
-			return s.SaveFS(fsys, path)
-		},
-		"manifest": func(fsys errfs.FS, path string, gen int) error {
-			return NewManifest("p", uint64(gen), 2).SaveFS(fsys, path)
-		},
+	save := func(fsys errfs.FS, path string, gen int) error {
+		s := New()
+		s.Put(Key{byte(gen)}, codecSection())
+		return s.SaveFS(fsys, path)
 	}
-	for name, save := range saves {
-		for _, op := range []errfs.Op{errfs.OpSync, errfs.OpRename} {
-			t.Run(name+"/"+op.String(), func(t *testing.T) {
-				dir := t.TempDir()
-				path := filepath.Join(dir, "file")
-				if err := save(nil, path, 1); err != nil {
-					t.Fatal(err)
-				}
-				old, _ := os.ReadFile(path)
-				ffs := errfs.Wrap(nil, errfs.FailNth(op, 1, eio))
-				if err := save(ffs, path, 2); !errors.Is(err, eio) {
-					t.Fatalf("save through a failing %s: %v", op, err)
-				}
-				if now, _ := os.ReadFile(path); !bytes.Equal(now, old) {
-					t.Fatal("old file changed")
-				}
-				if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-					t.Fatalf("directory holds %d entries, want only the file", len(entries))
-				}
-			})
-		}
+	for _, op := range []errfs.Op{errfs.OpSync, errfs.OpRename} {
+		t.Run("store/"+op.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "file")
+			if err := save(nil, path, 1); err != nil {
+				t.Fatal(err)
+			}
+			old, _ := os.ReadFile(path)
+			ffs := errfs.Wrap(nil, errfs.FailNth(op, 1, eio))
+			if err := save(ffs, path, 2); !errors.Is(err, eio) {
+				t.Fatalf("save through a failing %s: %v", op, err)
+			}
+			if now, _ := os.ReadFile(path); !bytes.Equal(now, old) {
+				t.Fatal("old file changed")
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Fatalf("directory holds %d entries, want only the file", len(entries))
+			}
+		})
 	}
 }
 
@@ -210,29 +194,4 @@ func sameSection(a, b *Section) bool {
 		}
 	}
 	return true
-}
-
-// FuzzLoadManifest: no file content panics LoadManifest, and a manifest it
-// accepts saves and loads back unchanged.
-func FuzzLoadManifest(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "campaign.manifest")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := LoadManifest(path)
-		if err != nil {
-			return
-		}
-		if err := m.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		again, err := LoadManifest(path)
-		if err != nil {
-			t.Fatalf("saved manifest does not load: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("round trip changed the manifest: %+v, then %+v", m, again)
-		}
-	})
 }
